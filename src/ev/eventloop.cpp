@@ -62,8 +62,7 @@ EventLoop::~EventLoop() {
     // breaks them. Destructors run here may schedule further timers on
     // the dying loop, so drain until genuinely empty.
     while (!heap_.empty()) {
-        TimerSP s = heap_.top();
-        heap_.pop();
+        TimerSP s = heap_pop();
         s->cancelled = true;
         s->cb = nullptr;
         s->periodic_cb = nullptr;
@@ -141,8 +140,41 @@ Timer EventLoop::schedule(TimerSP state) {
     check_owner("set_timer");
     state->seq = ++timer_seq_;
     state->scheduled = true;
-    heap_.push(state);
+    heap_push(state);
     return Timer(std::move(state));
+}
+
+void EventLoop::heap_push(TimerSP s) {
+    heap_.push_back(std::move(s));
+    std::push_heap(heap_.begin(), heap_.end(), HeapCmp{});
+    // A cancelled timer stays in the heap until its deadline. With 2 s XRL
+    // attempt timers cancelled by every reply, a busy client would grow
+    // the heap by its call rate times 2 s and then pay for all of them at
+    // once when they fall due; compacting whenever the heap doubles keeps
+    // it within about twice the live timers at amortized O(1) per push.
+    if (heap_.size() >= 2 * std::max<size_t>(heap_compacted_size_, 64))
+        compact_heap();
+}
+
+EventLoop::TimerSP EventLoop::heap_pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), HeapCmp{});
+    TimerSP s = std::move(heap_.back());
+    heap_.pop_back();
+    return s;
+}
+
+void EventLoop::compact_heap() {
+    // Dropped timers are destroyed only after the heap is whole again:
+    // their callbacks' captures may arm new timers from a destructor.
+    std::vector<TimerSP> dropped;
+    std::erase_if(heap_, [&](TimerSP& s) {
+        if (!s->cancelled) return false;
+        s->scheduled = false;
+        dropped.push_back(std::move(s));
+        return true;
+    });
+    std::make_heap(heap_.begin(), heap_.end(), HeapCmp{});
+    heap_compacted_size_ = heap_.size();
 }
 
 Timer EventLoop::set_timer(Duration delay, std::function<void()> cb) {
@@ -218,10 +250,8 @@ bool EventLoop::fire_due_timers() {
     const TimePoint t = now();
     bool any = false;
     std::vector<TimerSP> due;
-    while (!heap_.empty() && heap_.top()->expiry <= t) {
-        due.push_back(heap_.top());
-        heap_.pop();
-    }
+    while (!heap_.empty() && heap_.front()->expiry <= t)
+        due.push_back(heap_pop());
     const EvMetrics& m = EvMetrics::get();
     const bool timed = telemetry::enabled();
     for (TimerSP& s : due) {
@@ -239,7 +269,7 @@ bool EventLoop::fire_due_timers() {
                 s->expiry += s->period;
                 s->seq = ++timer_seq_;
                 s->scheduled = true;
-                heap_.push(s);
+                heap_push(s);
             } else {
                 s->cancelled = true;
             }
@@ -366,7 +396,7 @@ int EventLoop::poll_timeout_ms(bool may_block) {
     if (background_task_count() > 0) return 0;
     if (posted_pending_.load(std::memory_order_acquire)) return 0;
     Duration d = Duration(std::chrono::milliseconds(100));
-    if (!heap_.empty()) d = std::min(d, heap_.top()->expiry - now());
+    if (!heap_.empty()) d = std::min(d, heap_.front()->expiry - now());
     // run_for/run_until pin advance_cap_ to their deadline on real clocks
     // too: a blocking poll must not overshoot the caller's time budget.
     if (advance_cap_ != TimePoint::max())
@@ -385,7 +415,7 @@ bool EventLoop::run_once(bool may_block) {
     if (!any && clock_.is_virtual() && !heap_.empty()) {
         // Nothing runnable now: jump virtual time to the next deadline,
         // but never past the caller's cap (run_for/run_until deadline).
-        TimePoint target = std::min(heap_.top()->expiry, advance_cap_);
+        TimePoint target = std::min(heap_.front()->expiry, advance_cap_);
         if (target > now()) {
             clock_.advance_to(target);
             any = fire_due_timers();
@@ -417,7 +447,7 @@ bool EventLoop::run_until(const std::function<bool()>& pred, Duration limit) {
         }
         bool any = run_once(true);
         if (!any && clock_.is_virtual() &&
-            (heap_.empty() || heap_.top()->expiry > advance_cap_) &&
+            (heap_.empty() || heap_.front()->expiry > advance_cap_) &&
             background_task_count() == 0) {
             // Virtual time cannot usefully progress before the deadline.
             ok = pred();
@@ -435,7 +465,7 @@ void EventLoop::run_for(Duration d) {
     while (now() < deadline) {
         bool any = run_once(true);
         if (clock_.is_virtual() && !any && background_task_count() == 0 &&
-            (heap_.empty() || heap_.top()->expiry > advance_cap_)) {
+            (heap_.empty() || heap_.front()->expiry > advance_cap_)) {
             clock_.advance_to(std::min(deadline, advance_cap_));
             break;
         }

@@ -28,7 +28,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -116,6 +115,8 @@ public:
     void run_for(Duration d);
 
     bool timers_pending() const { return !heap_.empty(); }
+    // Timer heap entries, counting cancelled timers not yet dropped.
+    size_t timer_heap_size() const { return heap_.size(); }
 
 private:
     using TimerSP = std::shared_ptr<detail::TimerState>;
@@ -127,6 +128,9 @@ private:
     };
 
     Timer schedule(TimerSP state);
+    void compact_heap();
+    void heap_push(TimerSP s);
+    TimerSP heap_pop();
     bool fire_due_timers();
     bool dispatch_fds(int timeout_ms);
     bool run_one_task_slice();
@@ -152,7 +156,11 @@ private:
     // their deadline so idle jumps stop exactly on time.
     TimePoint advance_cap_ = TimePoint::max();
 
-    std::priority_queue<TimerSP, std::vector<TimerSP>, HeapCmp> heap_;
+    // A binary heap under HeapCmp (earliest deadline at front()).
+    // Cancelled timers stay in it until they come due or until the heap
+    // has doubled since its last compaction, which drops them all.
+    std::vector<TimerSP> heap_;
+    size_t heap_compacted_size_ = 0;
     std::vector<Timer> deferred_owned_;  // keeps defer() timers alive
 
     std::map<int, std::function<void()>> readers_;

@@ -463,6 +463,22 @@ void XrlRouter::pump_oneway(const std::string& target) {
              });
     }
     oq.pumping = false;
+    if (!oq.in_flight && oq.q.empty() && !oq.idle_waiters.empty()) {
+        auto waiters = std::move(oq.idle_waiters);
+        oq.idle_waiters.clear();
+        for (auto& fn : waiters) fn();
+    }
+}
+
+void XrlRouter::when_oneway_idle(const std::string& target,
+                                 std::function<void()> fn) {
+    auto it = oneway_queues_.find(target);
+    if (it == oneway_queues_.end() ||
+        (!it->second.in_flight && it->second.q.empty())) {
+        fn();
+        return;
+    }
+    it->second.idle_waiters.push_back(std::move(fn));
 }
 
 void XrlRouter::begin_cycle(const std::shared_ptr<CallState>& st) {

@@ -14,10 +14,12 @@
 #define XRP_IPC_ROUTER_HPP
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "ev/eventloop.hpp"
 #include "finder/finder.hpp"
@@ -170,6 +172,11 @@ public:
     void call_oneway(const xrl::Xrl& xrl,
                      const CallOptions& opts = CallOptions::defaults());
 
+    // Runs `fn` once the one-way queue to `target` is next empty with no
+    // call on the wire: every one-way call queued before this one has
+    // completed. Runs it at once when nothing is queued.
+    void when_oneway_idle(const std::string& target, std::function<void()> fn);
+
     // Force every outbound call onto one family (benchmarks use this to
     // compare transports); empty string restores automatic choice.
     void set_preferred_family(std::string family) {
@@ -220,6 +227,7 @@ private:
         std::deque<std::pair<xrl::Xrl, CallOptions>> q;
         bool in_flight = false;
         bool pumping = false;  // re-entrancy guard: inproc completes inline
+        std::vector<std::function<void()>> idle_waiters;
     };
     void pump_oneway(const std::string& target);
 

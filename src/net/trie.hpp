@@ -1,5 +1,5 @@
 // Path-compressed binary trie (Patricia tree) keyed by IpNet<A>, with the
-// paper's "safe route iterators" (§5.3).
+// paper's "safe route iterators" (§5.3) and an exact-match hash index.
 //
 // Background tasks — a BGP deletion stage slicing through 146k routes, a
 // policy re-filter pass — park an iterator in the table and resume later.
@@ -11,26 +11,48 @@
 // the deferred pruning. Users of the trie never see any of this: the rule
 // they rely on is simply "an iterator never dangles across a pause".
 //
+// Exact-prefix operations skip the tree. A flat open-addressing table maps
+// each key to its node, so find, erase and an insert over an existing key
+// touch a hash slot and one node instead of ~20 cold nodes on the path
+// from the root. The Patricia structure serves the prefix-shaped queries:
+// lookup (LPM), find_less_specific, for_each_within, has_route_within,
+// register_lookup and the safe iterators.
+//
+// Erase also defers its prune when no iterator is parked: the emptied node
+// waits in a FIFO of kPruneFifoSlots recently emptied nodes and is pruned
+// when it falls out. A §5.1 replace — delete(old) then add(new) of the
+// same prefix — therefore revives the node in place instead of unlinking
+// a leaf and rebuilding it, in every table the replace passes through.
+//
 // Node layout invariants:
 //  - the root always exists and has key 0/0;
 //  - a child's key strictly extends its parent's key;
-//  - a valueless node with fewer than two children and no parked iterators
-//    is pruned (spliced out or removed) eagerly;
-//  - subtree_values counts valued nodes in each subtree, giving O(path)
-//    "is there any route under this prefix" queries for the RegisterStage.
+//  - a valueless non-root node with fewer than two children is either
+//    waiting in the prune FIFO or holding a parked iterator; any other is
+//    pruned (spliced out or removed) at once. So node_count() is at most
+//    2 * (size() + pending_prunes() + parked iterators) + 1, and a subtree
+//    without routes consists of such pinned nodes and the forks above them;
+//  - the index holds exactly the valued nodes and the empty nodes pinned
+//    by the prune FIFO or a parked iterator; an empty node leaves it when
+//    the last of those lets go. So index size minus size() counts the
+//    empty pinned nodes, and when it is zero every non-root subtree holds
+//    a route.
 //
 // Allocation: nodes live on a per-trie arena — contiguous blocks carved
 // into node slots, recycled through a free list — so a million-route
 // table costs one malloc per kArenaBlockNodes nodes instead of one per
 // node, and neighbouring nodes share cache lines. The global toggle
 // (set_trie_arena_enabled) is captured at construction; bench_memory
-// flips it to measure the before/after footprint.
+// flips it to measure the before/after footprint. The index allocates on
+// the first insert, so an empty trie costs no more than the arena block.
 #ifndef XRP_NET_TRIE_HPP
 #define XRP_NET_TRIE_HPP
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -51,6 +73,11 @@ inline void set_trie_arena_enabled(bool on) { trie_arena_flag() = on; }
 inline bool trie_arena_enabled() { return trie_arena_flag(); }
 
 inline constexpr size_t kArenaBlockNodes = 256;
+
+// Recently emptied nodes kept linked for a same-prefix re-insert. A
+// replace reaches each stage as an adjacent delete+add, so a handful of
+// slots covers it; the bound keeps the extra nodes negligible.
+inline constexpr size_t kPruneFifoSlots = 16;
 
 template <class A, class T>
 class RouteTrie {
@@ -75,29 +102,32 @@ public:
     // Bytes held by the node arena (0 when the arena is disabled and
     // nodes come from the general-purpose allocator one by one).
     size_t arena_bytes() const { return arena_.bytes(); }
+    // Bytes held by the exact-match index.
+    size_t index_bytes() const { return index_.bytes(); }
 
     // Inserts or overwrites. Returns true if the key was new.
     bool insert(const Net& net, T value) {
+        if (Node* n = index_.find(net)) {
+            // A live route, or an emptied node still linked: fill in place.
+            bool was_new = !n->value.has_value();
+            n->value = std::move(value);
+            if (was_new) ++size_;
+            return was_new;
+        }
         Node* n = root_;
         while (true) {
             if (n->key == net) {
-                bool was_new = !n->value.has_value();
-                n->value = std::move(value);
-                if (was_new) {
-                    ++size_;
-                    bump_counts(n, +1);
-                }
-                return was_new;
+                // A valueless fork (or the root) sits exactly at `net`.
+                fill(n, std::move(value));
+                return true;
             }
             // Invariant: n->key contains net and is strictly shorter.
             bool b = net.masked_addr().bit(n->key.prefix_len());
             Node* c = n->child[b];
             if (c == nullptr) {
                 Node* leaf = arena_.create(net, n);
-                leaf->value = std::move(value);
                 n->child[b] = leaf;
-                ++size_;
-                bump_counts(leaf, +1);
+                fill(leaf, std::move(value));
                 return true;
             }
             if (c->key.contains(net)) {
@@ -107,11 +137,9 @@ public:
             if (net.contains(c->key)) {
                 // Interpose a node for `net` between n and c.
                 Node* mid = arena_.create(net, n);
-                mid->value = std::move(value);
                 n->child[b] = mid;
                 adopt(mid, c);
-                ++size_;
-                bump_counts(mid, +1);
+                fill(mid, std::move(value));
                 return true;
             }
             // Keys diverge: interpose a valueless fork at the common prefix.
@@ -122,34 +150,31 @@ public:
             n->child[b] = fork;
             adopt(fork, c);
             Node* leaf = arena_.create(net, fork);
-            leaf->value = std::move(value);
             fork->child[net.masked_addr().bit(d)] = leaf;
-            ++size_;
-            bump_counts(leaf, +1);
+            fill(leaf, std::move(value));
             return true;
         }
     }
 
-    // Removes the exact prefix. Returns false if absent. If iterators are
-    // parked on the node, the value disappears now but the node lingers
-    // until they move on.
+    // Removes the exact prefix. Returns false if absent. The value
+    // disappears now; the node lingers until parked iterators move on, or
+    // otherwise until it leaves the prune FIFO.
     bool erase(const Net& net) {
-        Node* n = find_node(net);
+        Node* n = index_.find(net);
         if (n == nullptr || !n->value.has_value()) return false;
         n->value.reset();
         --size_;
-        bump_counts(n, -1);
-        prune_upward(n);
+        if (n->iter_refs == 0 && !n->queued) queue_prune(n);
         return true;
     }
 
     // Exact-match lookup.
     const T* find(const Net& net) const {
-        const Node* n = find_node(net);
+        const Node* n = index_.find(net);
         return (n != nullptr && n->value.has_value()) ? &*n->value : nullptr;
     }
     T* find(const Net& net) {
-        Node* n = find_node(net);
+        Node* n = index_.find(net);
         return (n != nullptr && n->value.has_value()) ? &*n->value : nullptr;
     }
 
@@ -185,7 +210,7 @@ public:
     bool has_route_within(const Net& net) const {
         const Node* n = root_;
         while (n != nullptr) {
-            if (net.contains(n->key)) return n->subtree_values > 0;
+            if (net.contains(n->key)) return holds_route(n);
             if (!n->key.contains(net)) return false;
             if (n->key.prefix_len() == A::kAddrBits) return false;
             n = n->child[net.masked_addr().bit(n->key.prefix_len())];
@@ -226,8 +251,7 @@ public:
         // every more-specific route that shares a partial path with addr.
         while (n->key.prefix_len() < A::kAddrBits) {
             bool b = addr.bit(n->key.prefix_len());
-            const Node* sib = n->child[!b];
-            if (sib != nullptr && sib->subtree_values > 0)
+            if (holds_route(n->child[!b]))
                 best = std::max(best, n->key.prefix_len() + 1);
             const Node* c = n->child[b];
             if (c == nullptr) break;
@@ -235,7 +259,7 @@ public:
                 A::common_prefix_len(addr, c->key.masked_addr()),
                 c->key.prefix_len());
             if (d < c->key.prefix_len()) {
-                if (c->subtree_values > 0) best = std::max(best, d + 1);
+                if (holds_route(c)) best = std::max(best, d + 1);
                 break;
             }
             n = c;
@@ -320,7 +344,7 @@ public:
                 node_ = nullptr;
                 --trie_->live_iterators_;
                 assert(n->iter_refs > 0);
-                if (--n->iter_refs == 0) trie_->prune_upward(n);
+                if (--n->iter_refs == 0 && !n->queued) trie_->settle(n);
             }
         }
         void move_to(Node* n) {
@@ -366,6 +390,13 @@ public:
 
     size_t node_count() const { return count_nodes(root_); }
 
+    // Emptied nodes currently waiting in the prune FIFO.
+    size_t pending_prunes() const {
+        size_t n = 0;
+        for (const Node* p : fifo_) n += p != nullptr;
+        return n;
+    }
+
 private:
     struct Node {
         explicit Node(Net k, Node* p = nullptr) : key(k), parent(p) {}
@@ -376,8 +407,7 @@ private:
         Node* parent = nullptr;
         Node* child[2] = {nullptr, nullptr};
         uint32_t iter_refs = 0;
-        // Count of valued nodes in this subtree (including this node).
-        uint32_t subtree_values = 0;
+        bool queued = false;  // waiting in the prune FIFO
     };
 
     // Per-trie node pool: blocks carved into Node-sized slots threaded on
@@ -433,27 +463,145 @@ private:
         std::vector<std::unique_ptr<Block>> blocks_;
     };
 
+    // Key -> node hash table: linear probing over a power-of-two array,
+    // at most three quarters full, with backward-shift deletion (no
+    // tombstones). A slot is a node pointer whose low bits — always zero,
+    // as nodes are pointer-aligned — carry three more bits of the key's
+    // hash, so a probe reads a node whose key differs only about once in
+    // eight slots instead of at every occupied slot.
+    class Index {
+        static constexpr uintptr_t kTagMask = alignof(Node*) - 1;
+        static_assert(kTagMask == 7 && alignof(Node) >= alignof(Node*));
+
+    public:
+        Index() = default;
+        Index(const Index&) = delete;
+        Index& operator=(const Index&) = delete;
+
+        Node* find(const Net& key) const {
+            if (count_ == 0) return nullptr;
+            const uint64_t h = hash(key);
+            for (size_t i = home(h);; i = (i + 1) & mask_) {
+                const uintptr_t s = slots_[i];
+                if (s == 0) return nullptr;
+                if ((s & kTagMask) == tag(h) && node(s)->key == key)
+                    return node(s);
+            }
+        }
+        // `n->key` must not be present.
+        void insert(Node* n) {
+            if (4 * (count_ + 1) > 3 * capacity())
+                rehash(std::max<size_t>(16, 2 * capacity()));
+            place(n);
+            ++count_;
+        }
+        void erase(const Node* n) {
+            size_t i = home(hash(n->key));
+            while (node(slots_[i]) != n) i = (i + 1) & mask_;
+            // Shift later members of the probe run back over the hole
+            // whenever their home slot lies cyclically outside (i, j].
+            for (size_t j = (i + 1) & mask_; slots_[j] != 0;
+                 j = (j + 1) & mask_) {
+                const size_t h = home(hash(node(slots_[j])->key));
+                if (((j - h) & mask_) >= ((j - i) & mask_)) {
+                    slots_[i] = slots_[j];
+                    i = j;
+                }
+            }
+            slots_[i] = 0;
+            --count_;
+        }
+        size_t size() const { return count_; }
+        size_t bytes() const { return capacity() * sizeof(uintptr_t); }
+
+    private:
+        size_t capacity() const { return slots_ ? mask_ + 1 : 0; }
+        // Fibonacci hashing: the top bits of the multiplied hash pick the
+        // slot and the three bits below them the tag, so keys whose
+        // std::hash differs only in low bits still spread.
+        static uint64_t hash(const Net& key) {
+            return static_cast<uint64_t>(std::hash<Net>{}(key)) *
+                   0x9E3779B97F4A7C15ull;
+        }
+        size_t home(uint64_t h) const {
+            return static_cast<size_t>(h >> shift_);
+        }
+        uintptr_t tag(uint64_t h) const {
+            return static_cast<uintptr_t>(h >> (shift_ - 3)) & kTagMask;
+        }
+        static Node* node(uintptr_t slot) {
+            return reinterpret_cast<Node*>(slot & ~kTagMask);
+        }
+        void place(Node* n) {
+            const uint64_t h = hash(n->key);
+            size_t i = home(h);
+            while (slots_[i] != 0) i = (i + 1) & mask_;
+            slots_[i] = reinterpret_cast<uintptr_t>(n) | tag(h);
+        }
+        void rehash(size_t cap) {
+            const size_t old_cap = capacity();
+            std::unique_ptr<uintptr_t[]> old = std::move(slots_);
+            slots_ = std::make_unique<uintptr_t[]>(cap);  // zeroed
+            mask_ = cap - 1;
+            shift_ = 64;
+            for (size_t c = cap; c > 1; c >>= 1) --shift_;
+            for (size_t i = 0; i < old_cap; ++i)
+                if (old[i] != 0) place(node(old[i]));
+        }
+
+        std::unique_ptr<uintptr_t[]> slots_;
+        size_t mask_ = 0;
+        unsigned shift_ = 64;
+        size_t count_ = 0;
+    };
+
     static void adopt(Node* new_parent, Node* child) {
         child->parent = new_parent;
-        new_parent->subtree_values += child->subtree_values;
         new_parent->child[child->key.masked_addr().bit(
             new_parent->key.prefix_len())] = child;
     }
 
-    void bump_counts(Node* n, int delta) {
-        for (Node* p = n; p != nullptr; p = p->parent)
-            p->subtree_values =
-                static_cast<uint32_t>(static_cast<int>(p->subtree_values) + delta);
+    // Gives an unindexed node its first value since it was last emptied.
+    void fill(Node* n, T value) {
+        assert(!n->value.has_value() && index_.find(n->key) == nullptr);
+        n->value = std::move(value);
+        ++size_;
+        index_.insert(n);
     }
 
-    Node* find_node(const Net& net) const {
-        Node* n = root_;
-        while (n != nullptr) {
-            if (n->key == net) return n;
-            if (!n->key.contains(net)) return nullptr;
-            n = n->child[net.masked_addr().bit(n->key.prefix_len())];
+    // Appends a just-emptied node to the prune FIFO; the node it displaces
+    // (the oldest) is settled. `n` is marked first so that settling the
+    // oldest never prunes it.
+    void queue_prune(Node* n) {
+        n->queued = true;
+        Node* oldest = fifo_[fifo_head_];
+        fifo_[fifo_head_] = n;
+        fifo_head_ = (fifo_head_ + 1) % kPruneFifoSlots;
+        if (oldest != nullptr) {
+            oldest->queued = false;
+            if (oldest->iter_refs == 0) settle(oldest);  // else on release
         }
-        return nullptr;
+    }
+
+    // A node that has stopped waiting in the prune FIFO and has no parked
+    // iterator: if it holds no route, drop it from the index and prune
+    // what is no longer needed. Only a node that held a route gets pinned,
+    // so an empty node reaching here is still indexed.
+    void settle(Node* n) {
+        if (n->value.has_value()) return;
+        index_.erase(n);
+        prune_upward(n);
+    }
+
+    // True if `n` or any node below it holds a route. Only an empty node
+    // pinned by the prune FIFO or a parked iterator can end a route-free
+    // branch, and the index holds exactly the routes and those nodes: with
+    // none of them, every non-root node has a route or two children.
+    bool holds_route(const Node* n) const {
+        if (n == nullptr) return false;
+        if (n->value.has_value()) return true;
+        if (index_.size() == size_ && n != root_) return true;
+        return holds_route(n->child[0]) || holds_route(n->child[1]);
     }
 
     static Node* preorder_next(Node* n) {
@@ -468,12 +616,14 @@ private:
     }
 
     // Removes structurally-unneeded nodes starting at `n` and walking up.
-    // A node is removable when it has no value, no parked iterators, and
-    // fewer than two children. Never removes the root.
+    // A node is removable when it has no value, no parked iterators, is
+    // not waiting in the prune FIFO, and has fewer than two children.
+    // Never removes the root.
     void prune_upward(Node* n) {
         while (n != nullptr && n->parent != nullptr && !n->value.has_value() &&
-               n->iter_refs == 0 &&
+               n->iter_refs == 0 && !n->queued &&
                !(n->child[0] != nullptr && n->child[1] != nullptr)) {
+            assert(index_.find(n->key) != n);
             Node* parent = n->parent;
             Node*& slot = parent->child[parent->child[0] == n ? 0 : 1];
             assert(slot == n);
@@ -512,6 +662,9 @@ private:
 
     Arena arena_;
     Node* root_;
+    Index index_;
+    Node* fifo_[kPruneFifoSlots] = {};
+    size_t fifo_head_ = 0;  // next slot to fill; holds the oldest entry
     size_t size_ = 0;
     size_t live_iterators_ = 0;
 };

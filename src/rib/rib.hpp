@@ -85,6 +85,9 @@ public:
             }
         }
     }
+    // Runs `fn` once the FEA has applied every push made so far. Direct
+    // and null handles apply synchronously, so the default runs it now.
+    virtual void when_applied(std::function<void()> fn) { fn(); }
 };
 
 class NullFeaHandle final : public FeaHandle {
@@ -162,6 +165,11 @@ public:
     std::optional<Route4> lookup_exact(const net::IPv4Net& net) const;
     size_t route_count() const { return final_->route_count(); }
     size_t origin_route_count(const std::string& protocol) const;
+    // Runs `fn` once the FEA has applied every winner change the RIB has
+    // pushed so far (rib/1.0 sync_fib).
+    void when_fib_synced(std::function<void()> fn) {
+        fea_->when_applied(std::move(fn));
+    }
 
     // ---- interest registration (Figure 8, §5.2.1) ----------------------
     struct Answer {

@@ -105,6 +105,14 @@ void bind_rib_xrl(Rib& rib, ipc::XrlRouter& router) {
             out.add("count", static_cast<uint32_t>(rib.route_count()));
             return XrlError::okay();
         });
+    // Replies once the FEA has applied every route change the RIB has
+    // sent it so far: a route-feeding client that has had its batches
+    // acknowledged calls this to know its routes are in the FIB too.
+    router.add_async_handler(
+        "rib/1.0/sync_fib", [&rib](const XrlArgs&, ipc::ResponseCallback done) {
+            rib.when_fib_synced(
+                [done = std::move(done)] { done(XrlError::okay(), XrlArgs{}); });
+        });
     // Graceful-restart notifications, sent by the rtrmgr's supervisor.
     // Deliberately tolerant of unknown protocols (okay, not error): the
     // supervisor retries oneways through chaos and a late duplicate after

@@ -25,6 +25,7 @@ interface rib/1.0 {
         -> resolves:bool & net:ipv4net & nexthop:ipv4 & metric:u32 & valid_subnet:ipv4net;
     unregister_interest ? valid_subnet:ipv4net & client:txt;
     get_route_count -> count:u32;
+    sync_fib;
     origin_dead ? protocol:txt;
     origin_revived ? protocol:txt;
     origin_resynced ? protocol:txt;
@@ -82,6 +83,11 @@ public:
         router_.call_oneway(
             xrl::Xrl::generic(target_, "fea", "1.0", "delete_route4", args),
             ipc::CallOptions::reliable());
+    }
+    // Pushes are one-way calls queued per target; each completes only
+    // when the FEA has applied and acknowledged it.
+    void when_applied(std::function<void()> fn) override {
+        router_.when_oneway_idle(target_, std::move(fn));
     }
     // A whole RIB delta as a handful of framed add_routes4_bulk XRLs.
     // Coalescing is safe at this boundary (the FEA cares about final FIB

@@ -11,9 +11,11 @@
 //
 // --feed-routes=N (bgp, or any RIB-feeding class) pushes N synthetic
 // "ebgp" routes into the RIB in bulk batches after boot and reports
-// common/0.1 READY only once every batch is acknowledged — which is what
-// makes restart and hitless-upgrade resync detection honest: READY means
-// the table is genuinely re-fed, not merely that the process answers.
+// common/0.1 READY only once every batch is acknowledged and the RIB
+// reports its resulting FIB pushes applied (rib/1.0 sync_fib) — which is
+// what makes restart and hitless-upgrade resync detection honest: READY
+// means the table is genuinely re-fed through to the FIB, not merely that
+// the process answers.
 // The feed is deterministic (same seed => same prefixes), so a restarted
 // or upgraded instance re-advertises the identical table and the RIB's
 // origin stamps refresh without downstream churn.
@@ -37,6 +39,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bgp/bgp_xrl.hpp"
 #include "bgp/process.hpp"
@@ -71,10 +74,40 @@ void on_signal(int) {
 struct FeedState {
     size_t batches_total = 0;
     size_t batches_acked = 0;
-    bool done() const {
+    bool fib_synced = false;
+    bool acked() const {
         return batches_total > 0 && batches_acked >= batches_total;
     }
+    bool done() const { return acked() && fib_synced; }
 };
+
+// Feed calls: reliable, with room for the RIB to be restarting.
+xrp::ipc::CallOptions feed_call_options() {
+    return xrp::ipc::CallOptions::reliable()
+        .with_deadline(std::chrono::seconds(60))
+        .with_attempt_timeout(std::chrono::seconds(5));
+}
+
+// Once every feed batch is acknowledged, asks the RIB to answer when the
+// FEA has applied what those batches changed: the RIB acknowledges a
+// batch when it has taken it, while its FIB pushes are still queued.
+void sync_fib_when_acked(xrp::ipc::XrlRouter& xr,
+                         const std::shared_ptr<FeedState>& state) {
+    using namespace xrp;
+    if (!state->acked()) return;
+    // A pure wait, so retrying is harmless; the attempts cover a FIB
+    // download that outlasts one attempt timer.
+    xr.call(xrl::Xrl::generic("rib", "rib", "1.0", "sync_fib", {}),
+            feed_call_options().with_attempts(12),
+            [state](const xrl::XrlError& err, const xrl::XrlArgs&) {
+                if (!err.ok())
+                    fprintf(stderr, "feed: fib sync failed: %s\n",
+                            err.str().c_str());
+                state->fib_synced = true;
+                fprintf(stderr, "feed complete: %zu batches\n",
+                        state->batches_total);
+            });
+}
 
 // Pushes `count` deterministic "ebgp" routes into the RIB as bulk
 // batches through `xr`'s reliable call contract.
@@ -82,34 +115,10 @@ void start_feed(xrp::ipc::XrlRouter& xr, size_t count, uint32_t seed,
                 std::shared_ptr<FeedState> state) {
     using namespace xrp;
     constexpr size_t kChunk = 8192;
-    auto prefixes = sim::generate_prefixes(count, seed);
+    const auto prefixes = sim::generate_prefixes(count, seed);
     const net::IPv4 nexthop((192u << 24) | (2 << 8) | 1);  // 192.0.2.1
 
-    // The ebgp routes all name 192.0.2.1 as their nexthop, and the RIB's
-    // ExtInt stage parks external routes until an internal route covers
-    // that nexthop — so seed the covering static first, exactly as the
-    // in-process harnesses do. An identical re-add after restart/upgrade
-    // is an idempotent refresh.
-    {
-        ++state->batches_total;
-        xrl::XrlArgs args;
-        args.add("protocol", std::string("static"))
-            .add("net", net::IPv4Net(net::IPv4((192u << 24) | (2 << 8)), 24))
-            .add("nexthop", nexthop)
-            .add("metric", uint32_t{1});
-        auto opts = ipc::CallOptions::reliable()
-                        .with_deadline(std::chrono::seconds(60))
-                        .with_attempt_timeout(std::chrono::seconds(5));
-        xr.call(xrl::Xrl::generic("rib", "rib", "1.0", "add_route",
-                                  std::move(args)),
-                opts, [state](const xrl::XrlError& err, const xrl::XrlArgs&) {
-                    if (!err.ok())
-                        fprintf(stderr, "feed: static cover failed: %s\n",
-                                err.str().c_str());
-                    ++state->batches_acked;
-                });
-    }
-
+    auto batches = std::make_shared<std::vector<xrl::XrlArgs>>();
     for (size_t base = 0; base < prefixes.size(); base += kChunk) {
         stage::RouteBatch4 batch;
         const size_t end = std::min(base + kChunk, prefixes.size());
@@ -122,26 +131,49 @@ void start_feed(xrp::ipc::XrlRouter& xr, size_t count, uint32_t seed,
             r.protocol = "ebgp";
             batch.add(std::move(r));
         }
-        ++state->batches_total;
         xrl::XrlArgs args;
         args.add("protocol", std::string("ebgp"))
             .add("routes", batch.encode());
-        auto opts = ipc::CallOptions::reliable()
-                        .with_deadline(std::chrono::seconds(60))
-                        .with_attempt_timeout(std::chrono::seconds(5));
-        xr.call(xrl::Xrl::generic("rib", "rib", "1.0", "add_routes_bulk",
-                                  std::move(args)),
-                opts,
-                [state](const xrl::XrlError& err, const xrl::XrlArgs&) {
-                    if (!err.ok())
-                        fprintf(stderr, "feed batch failed: %s\n",
-                                err.str().c_str());
-                    ++state->batches_acked;
-                    if (state->done())
-                        fprintf(stderr, "feed complete: %zu batches\n",
-                                state->batches_total);
-                });
+        batches->push_back(std::move(args));
     }
+    state->batches_total = 1 + batches->size();  // + the static cover
+
+    // The ebgp routes all name 192.0.2.1 as their nexthop, and the RIB's
+    // ExtInt stage parks external routes until an internal route covers
+    // that nexthop — so seed the covering static first, exactly as the
+    // in-process harnesses do, and send the batches only once it is
+    // acknowledged: a cover retried after a lost attempt must not land
+    // behind them, or the RIB would park the whole table and release it
+    // to the FEA one route at a time. An identical re-add after
+    // restart/upgrade is an idempotent refresh.
+    xrl::XrlArgs cover;
+    cover.add("protocol", std::string("static"))
+        .add("net", net::IPv4Net(net::IPv4((192u << 24) | (2 << 8)), 24))
+        .add("nexthop", nexthop)
+        .add("metric", uint32_t{1});
+    auto acked = [&xr, state](const char* what, const xrl::XrlError& err) {
+        if (!err.ok())
+            fprintf(stderr, "feed: %s failed: %s\n", what, err.str().c_str());
+        ++state->batches_acked;
+        sync_fib_when_acked(xr, state);
+    };
+    xr.call(xrl::Xrl::generic("rib", "rib", "1.0", "add_route",
+                              std::move(cover)),
+            feed_call_options(),
+            [&xr, batches, acked](const xrl::XrlError& err,
+                                  const xrl::XrlArgs&) {
+                for (auto& args : *batches)
+                    xr.call(xrl::Xrl::generic("rib", "rib", "1.0",
+                                              "add_routes_bulk",
+                                              std::move(args)),
+                            feed_call_options(),
+                            [acked](const xrl::XrlError& e,
+                                    const xrl::XrlArgs&) {
+                                acked("batch", e);
+                            });
+                batches->clear();
+                acked("static cover", err);
+            });
 }
 
 }  // namespace

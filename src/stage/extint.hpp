@@ -15,7 +15,6 @@
 #ifndef XRP_STAGE_EXTINT_HPP
 #define XRP_STAGE_EXTINT_HPP
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -64,19 +63,19 @@ public:
 
     std::optional<RouteT> lookup_route(const Net& net) const override {
         // Downstream truth: whatever we forwarded for this prefix.
-        if (const RouteT* f = forwarded_.find(net))
-            return *f;
+        if (const Forwarded* f = forwarded_.find(net))
+            return f->route;
         // Internal routes pass through unmodified.
         return int_ != nullptr ? int_->lookup_route(net) : std::nullopt;
     }
 
     std::optional<RouteT> lookup_route_lpm(A addr) const override {
-        const RouteT* f = forwarded_.lookup(addr, nullptr);
+        const Forwarded* f = forwarded_.lookup(addr, nullptr);
         auto i = int_ != nullptr ? int_->lookup_route_lpm(addr) : std::nullopt;
         // Ties go to the forwarded external answer (it carries igp_metric).
         return this->longer_match(
             std::move(i),
-            f != nullptr ? std::optional<RouteT>(*f) : std::nullopt);
+            f != nullptr ? std::optional<RouteT>(f->route) : std::nullopt);
     }
 
     std::string name() const override { return name_; }
@@ -118,15 +117,15 @@ private:
     void add_internal(const RouteT& route) {
         // Same-prefix conflict with a forwarded external route: settle by
         // the standard preference order.
-        if (const RouteT* f = forwarded_.find(route.net)) {
-            if (route_preferred(*f, route)) {
+        if (const Forwarded* f = forwarded_.find(route.net)) {
+            if (route_preferred(f->route, route)) {
                 // External keeps winning; the internal route simply is not
                 // forwarded (it can still resolve nexthops, below).
                 reresolve_after_internal_add(route);
                 return;
             }
             // Internal now wins: demote the external to shadowed.
-            RouteT original = *f;
+            RouteT original = f->route;
             original.igp_metric = kUnresolvedMetric;
             retract(route.net);
             shadowed_.insert(original.net, original);
@@ -155,12 +154,13 @@ private:
 
         // Dependents resolved through this prefix must re-resolve.
         std::vector<Net> affected;
-        for (const auto& [ext_net, res_net] : resolving_)
-            if (res_net == route.net) affected.push_back(ext_net);
+        forwarded_.for_each([&](const Net& ext_net, const Forwarded& f) {
+            if (f.resolver == route.net) affected.push_back(ext_net);
+        });
         for (const Net& ext_net : affected) {
-            const RouteT* f = forwarded_.find(ext_net);
+            const Forwarded* f = forwarded_.find(ext_net);
             if (f == nullptr) continue;
-            RouteT original = *f;
+            RouteT original = f->route;
             original.igp_metric = kUnresolvedMetric;
             retract(ext_net);
             auto resolver = int_->lookup_route_lpm(original.nexthop);
@@ -189,15 +189,14 @@ private:
         }
         // Forwarded routes that should switch to this more specific cover.
         std::vector<Net> to_upgrade;
-        for (const auto& [ext_net, res_net] : resolving_) {
-            if (internal.net.contains(res_net)) continue;  // already better
-            if (!res_net.contains(internal.net)) continue;
-            const RouteT* f = forwarded_.find(ext_net);
-            if (f != nullptr && internal.net.contains(f->nexthop))
+        forwarded_.for_each([&](const Net& ext_net, const Forwarded& f) {
+            if (internal.net.contains(f.resolver)) return;  // already better
+            if (!f.resolver.contains(internal.net)) return;
+            if (internal.net.contains(f.route.nexthop))
                 to_upgrade.push_back(ext_net);
-        }
+        });
         for (const Net& ext_net : to_upgrade) {
-            RouteT original = *forwarded_.find(ext_net);
+            RouteT original = forwarded_.find(ext_net)->route;
             original.igp_metric = kUnresolvedMetric;
             retract(ext_net);
             auto resolver = int_->lookup_route_lpm(original.nexthop);
@@ -208,31 +207,32 @@ private:
     void emit_resolved(const RouteT& route, const RouteT& resolver) {
         RouteT r = route;
         r.igp_metric = resolver.metric;
-        forwarded_.insert(r.net, r);
-        resolving_[r.net] = resolver.net;
+        forwarded_.insert(r.net, Forwarded{r, resolver.net});
         this->forward_add(r);
     }
 
     void retract(const Net& ext_net) {
-        const RouteT* f = forwarded_.find(ext_net);
+        const Forwarded* f = forwarded_.find(ext_net);
         if (f == nullptr) return;
-        RouteT old = *f;
+        RouteT old = f->route;
         forwarded_.erase(ext_net);
-        resolving_.erase(ext_net);
         this->forward_delete(old);
     }
 
     std::string name_;
     RouteStage<A>* ext_ = nullptr;
     RouteStage<A>* int_ = nullptr;
-    // External routes forwarded downstream, as forwarded (resolved).
-    net::RouteTrie<A, RouteT> forwarded_;
+    // An external route as forwarded downstream (resolved), with the
+    // internal prefix it resolved through.
+    struct Forwarded {
+        RouteT route;
+        Net resolver;
+    };
+    net::RouteTrie<A, Forwarded> forwarded_;
     // External routes waiting for a usable internal cover.
     net::RouteTrie<A, RouteT> unresolved_;
     // External routes beaten by a same-prefix internal route.
     net::RouteTrie<A, RouteT> shadowed_;
-    // external net -> internal net it resolved through.
-    std::map<Net, Net> resolving_;
 };
 
 }  // namespace xrp::stage

@@ -238,3 +238,23 @@ TEST(EventLoop, MovedTimerKeepsRegistration) {
     loop.run_for(20ms);
     EXPECT_EQ(fired, 1);
 }
+
+// An XRL client arms a 2 s attempt timer per call and cancels it when the
+// reply lands. Cancelled timers must not pile up in the heap until their
+// deadlines, and a short timer armed after them must still fire on time.
+TEST(EventLoop, CancelledTimersDoNotAccumulate) {
+    RealClock clock;
+    EventLoop loop(clock);
+    int stray = 0;
+    for (int i = 0; i < 100000; ++i) {
+        Timer t = loop.set_timer(2s, [&] { ++stray; });
+        t.unschedule();
+        ASSERT_LE(loop.timer_heap_size(), 128u) << "after " << i;
+    }
+    bool fired = false;
+    const TimePoint armed = clock.now();
+    Timer t = loop.set_timer(1ms, [&] { fired = true; });
+    ASSERT_TRUE(loop.run_until([&] { return fired; }, 1s));
+    EXPECT_LT(clock.now() - armed, Duration(50ms));
+    EXPECT_EQ(stray, 0);
+}

@@ -724,6 +724,49 @@ TEST(CallContract, OnewayCallsToOneTargetStayFifoAcrossRetries) {
     EXPECT_EQ(plexus.faults.stats().drops, 1u);
 }
 
+TEST(CallContract, OnewayIdleWaitsForQueuedCallsToComplete) {
+    // when_oneway_idle is the barrier behind rib/1.0 sync_fib: it must not
+    // run while a queued one-way call (here one in retry backoff) has yet
+    // to complete, and runs at once when the queue is empty.
+    ev::RealClock clock;
+    Plexus plexus(clock);
+    XrlRouter server(plexus, "seq", true);
+    std::vector<std::string> got;
+    server.add_interface(*xrl::InterfaceSpec::parse(
+        "interface seq/1.0 { note ? tag:txt; }"));
+    server.add_handler("seq/1.0/note", [&](const XrlArgs& in, XrlArgs&) {
+        got.push_back(*in.get_text("tag"));
+        return XrlError::okay();
+    });
+    ASSERT_TRUE(server.finalize());
+    XrlRouter client(plexus, "client");
+    ASSERT_TRUE(client.finalize());
+
+    bool idle_at_start = false;
+    client.when_oneway_idle("seq", [&] { idle_at_start = true; });
+    EXPECT_TRUE(idle_at_start);
+
+    FaultInjector::Plan plan;
+    plan.drop_first = 1;
+    plexus.faults.set_target_plan("seq", plan);
+    CallOptions opts = CallOptions::reliable();
+    opts.with_attempt_timeout(50ms).with_attempts(4).with_deadline(10s);
+    XrlArgs a, b;
+    a.add("tag", std::string("first"));
+    b.add("tag", std::string("second"));
+    client.call_oneway(Xrl::generic("seq", "seq", "1.0", "note", a), opts);
+    client.call_oneway(Xrl::generic("seq", "seq", "1.0", "note", b), opts);
+    size_t seen_when_idle = 0;
+    bool idle = false;
+    client.when_oneway_idle("seq", [&] {
+        seen_when_idle = got.size();
+        idle = true;
+    });
+    EXPECT_FALSE(idle);
+    ASSERT_TRUE(plexus.loop.run_until([&] { return idle; }, 10s));
+    EXPECT_EQ(seen_when_idle, 2u);
+}
+
 TEST(CallContract, TimeoutDoesNotRetryNonIdempotentCalls) {
     // After a timeout the request may have executed; without the
     // idempotent marker the contract must NOT fire it again.

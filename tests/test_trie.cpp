@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <map>
 #include <random>
+#include <set>
 #include <vector>
 
 #include "net/trie.hpp"
@@ -385,4 +386,284 @@ TEST(Trie, IPv6Instantiation) {
     ASSERT_NE(v, nullptr);
     EXPECT_EQ(*v, "a");
     EXPECT_EQ(t.lookup(IPv6::must_parse("2001:db9::1")), nullptr);
+}
+
+TEST(Trie, SameKeyReplaceRevivesNodeInPlace) {
+    // A §5.1 replace reaches every table as delete(old) + add(new) of one
+    // prefix: the node must be filled again, not pruned and rebuilt.
+    Trie t;
+    t.insert(net("10.0.0.0/8"), 1);
+    t.insert(net("10.1.0.0/16"), 2);
+    t.insert(net("10.2.0.0/16"), 3);
+    const int* before = t.find(net("10.2.0.0/16"));
+    const size_t nodes = t.node_count();
+    EXPECT_TRUE(t.erase(net("10.2.0.0/16")));
+    EXPECT_EQ(t.find(net("10.2.0.0/16")), nullptr);
+    EXPECT_FALSE(t.has_route_within(net("10.2.0.0/16")));
+    EXPECT_EQ(t.pending_prunes(), 1u);
+    EXPECT_TRUE(t.insert(net("10.2.0.0/16"), 4));
+    EXPECT_EQ(t.node_count(), nodes);
+    EXPECT_EQ(t.find(net("10.2.0.0/16")), before);
+    EXPECT_EQ(*before, 4);
+}
+
+TEST(Trie, PruneFifoBoundsLingeringNodes) {
+    // Erasing more leaves than the FIFO holds prunes the oldest: the
+    // structure returns to what the live routes need, plus the FIFO.
+    Trie t;
+    const size_t n = 4 * kPruneFifoSlots;
+    for (size_t i = 0; i < n; ++i)
+        t.insert(IPv4Net(IPv4(static_cast<uint32_t>(i) << 8), 24), 0);
+    t.insert(net("128.0.0.0/8"), 1);
+    for (size_t i = 0; i < n; ++i)
+        EXPECT_TRUE(t.erase(IPv4Net(IPv4(static_cast<uint32_t>(i) << 8), 24)));
+    EXPECT_EQ(t.size(), 1u);
+    EXPECT_EQ(t.pending_prunes(), kPruneFifoSlots);
+    EXPECT_LE(t.node_count(), 2 * (t.size() + kPruneFifoSlots) + 1);
+    EXPECT_FALSE(t.has_route_within(net("0.0.0.0/8")));
+    EXPECT_TRUE(t.has_route_within(net("0.0.0.0/0")));
+    // Valueless leaves pinned by the FIFO must not leak into Figure 8
+    // answers: only 128/8 constrains the validity subnet.
+    auto r = t.register_lookup(addr("0.0.0.1"));
+    EXPECT_EQ(r.route, nullptr);
+    EXPECT_EQ(r.valid_subnet.str(), "0.0.0.0/1");
+}
+
+TEST(Trie, EmptyNodeLeftInTheFifoByAnIteratorHasNoRoute) {
+    // A route revived in the FIFO and erased again under a parked
+    // iterator: when the iterator leaves, the node still waits in the
+    // FIFO and must still count as empty.
+    Trie t;
+    t.insert(net("10.0.0.0/8"), 1);
+    t.insert(net("20.0.0.0/8"), 2);
+    t.erase(net("10.0.0.0/8"));
+    t.insert(net("10.0.0.0/8"), 3);
+    {
+        auto it = t.begin();
+        ASSERT_EQ(it.key().str(), "10.0.0.0/8");
+        t.erase(net("10.0.0.0/8"));
+    }
+    EXPECT_FALSE(t.has_route_within(net("10.0.0.0/8")));
+    EXPECT_TRUE(t.insert(net("10.0.0.0/8"), 4));
+    EXPECT_EQ(t.size(), 2u);
+}
+
+TEST(Trie, EmptyNodeHeldByIteratorPastTheFifoHasNoRoute) {
+    // As above, but the node is pushed out of the FIFO while the iterator
+    // still holds it, and every other FIFO entry is live.
+    Trie t;
+    t.insert(net("10.0.0.0/8"), 1);
+    t.insert(net("20.0.0.0/8"), 2);
+    t.erase(net("10.0.0.0/8"));
+    t.insert(net("10.0.0.0/8"), 3);
+    auto it = t.begin();
+    ASSERT_EQ(it.key().str(), "10.0.0.0/8");
+    t.erase(net("10.0.0.0/8"));
+    auto other = [](size_t i) {
+        return IPv4Net(IPv4(0x40000000u + (static_cast<uint32_t>(i) << 8)), 24);
+    };
+    for (size_t i = 0; i < kPruneFifoSlots; ++i) t.insert(other(i), 0);
+    for (size_t i = 0; i < kPruneFifoSlots; ++i) t.erase(other(i));
+    for (size_t i = 0; i < kPruneFifoSlots; ++i) t.insert(other(i), 0);
+    EXPECT_FALSE(t.has_route_within(net("10.0.0.0/8")));
+    EXPECT_EQ(t.find(net("10.0.0.0/8")), nullptr);
+    ++it;
+    EXPECT_EQ(it.key().str(), "20.0.0.0/8");
+}
+
+namespace {
+
+// Clustered random keys, so that prefixes nest, share forks and repeat.
+template <class A>
+struct KeyGen;
+template <>
+struct KeyGen<IPv4> {
+    static IPv4 addr(std::mt19937& rng) {
+        return IPv4((rng() & 0xf0f00000u) | (rng() & 0x0000ff00u));
+    }
+    static IPv4 near(IPv4 a, std::mt19937& rng) {
+        return IPv4(a.to_host() ^ (rng() & 0x00ffffffu >> (rng() % 24)));
+    }
+    static uint32_t len(std::mt19937& rng) { return 4 + rng() % 29; }
+};
+template <>
+struct KeyGen<IPv6> {
+    static IPv6 addr(std::mt19937& rng) {
+        uint64_t hi = static_cast<uint64_t>(rng() & 0xf0f0ff00u) << 32;
+        return IPv6(hi, rng() % 4 == 0 ? rng() : 0);
+    }
+    static IPv6 near(IPv6 a, std::mt19937& rng) {
+        uint64_t flip = static_cast<uint64_t>(rng()) << (rng() % 33);
+        return IPv6(a.hi() ^ (flip >> 8), a.lo() ^ rng());
+    }
+    static uint32_t len(std::mt19937& rng) {
+        return rng() % 8 == 0 ? 128 : 8 + rng() % 57;
+    }
+};
+
+// Randomized differential test of RouteTrie<A, int> against a std::map,
+// interleaving every query and mutation with parked safe iterators.
+template <class A>
+void run_differential(uint32_t seed, int steps) {
+    using NetA = IpNet<A>;
+    using G = KeyGen<A>;
+    std::mt19937 rng(seed);
+    std::vector<NetA> pool;
+    {
+        std::set<NetA> uniq;
+        while (uniq.size() < 300) uniq.insert(NetA(G::addr(rng), G::len(rng)));
+        pool.assign(uniq.begin(), uniq.end());
+    }
+    auto pick = [&] { return pool[rng() % pool.size()]; };
+    auto probe_addr = [&] {
+        return rng() % 4 == 0 ? G::addr(rng)
+                              : G::near(pick().masked_addr(), rng);
+    };
+
+    RouteTrie<A, int> t;
+    std::map<NetA, int> ref;
+    std::vector<typename RouteTrie<A, int>::iterator> parked;
+
+    auto ref_lpm = [&](A a) -> const std::pair<const NetA, int>* {
+        const std::pair<const NetA, int>* best = nullptr;
+        for (const auto& kv : ref)
+            if (kv.first.contains(a) &&
+                (best == nullptr ||
+                 kv.first.prefix_len() > best->first.prefix_len()))
+                best = &kv;
+        return best;
+    };
+
+    for (int step = 0; step < steps; ++step) {
+        const uint32_t op = rng() % 12;
+        if (op < 3) {  // insert or overwrite
+            NetA n = pick();
+            int v = step;
+            bool was_new = ref.find(n) == ref.end();
+            ref[n] = v;
+            ASSERT_EQ(t.insert(n, v), was_new) << n.str();
+        } else if (op < 5) {  // erase, present or not
+            NetA n = pick();
+            ASSERT_EQ(t.erase(n), ref.erase(n) > 0) << n.str();
+        } else if (op == 5 && !ref.empty()) {  // same-prefix replace
+            auto it = ref.begin();
+            std::advance(it, rng() % ref.size());
+            NetA n = it->first;
+            const size_t nodes = t.node_count();
+            const size_t pending = t.pending_prunes();
+            ASSERT_TRUE(t.erase(n));
+            ASSERT_TRUE(t.insert(n, -step));
+            it->second = -step;
+            // Only a full FIFO's displaced entry may be pruned meanwhile.
+            if (pending < kPruneFifoSlots)
+                ASSERT_EQ(t.node_count(), nodes) << n.str();
+            else
+                ASSERT_LE(t.node_count(), nodes) << n.str();
+        } else if (op == 6) {  // exact find
+            NetA n = pick();
+            const int* got = t.find(n);
+            auto r = ref.find(n);
+            if (r == ref.end()) {
+                ASSERT_EQ(got, nullptr) << n.str();
+            } else {
+                ASSERT_NE(got, nullptr) << n.str();
+                ASSERT_EQ(*got, r->second);
+            }
+        } else if (op == 7) {  // LPM and the Figure 8 query
+            A a = probe_addr();
+            NetA m;
+            const int* got = t.lookup(a, &m);
+            const auto* want = ref_lpm(a);
+            auto reg = t.register_lookup(a);
+            if (want == nullptr) {
+                ASSERT_EQ(got, nullptr);
+                ASSERT_EQ(reg.route, nullptr);
+            } else {
+                ASSERT_NE(got, nullptr);
+                ASSERT_EQ(m, want->first);
+                ASSERT_EQ(*got, want->second);
+                ASSERT_NE(reg.route, nullptr);
+                ASSERT_EQ(reg.matched_net, want->first);
+            }
+            // The validity subnet is the longest of: the match, and one
+            // bit past the divergence from every route not covering a.
+            uint32_t len = want != nullptr ? want->first.prefix_len() : 0;
+            for (const auto& kv : ref) {
+                if (kv.first.contains(a)) continue;
+                uint32_t d = std::min(
+                    A::common_prefix_len(a, kv.first.masked_addr()),
+                    kv.first.prefix_len());
+                len = std::max(len, d + 1);
+            }
+            ASSERT_EQ(reg.valid_subnet, NetA(a, len)) << a.str();
+        } else if (op == 8) {  // subtree queries
+            NetA w = NetA(G::near(pick().masked_addr(), rng), G::len(rng) / 2);
+            std::vector<std::pair<NetA, int>> got, want;
+            t.for_each_within(w, [&](const NetA& n, int v) {
+                got.emplace_back(n, v);
+            });
+            for (const auto& kv : ref)
+                if (w.contains(kv.first)) want.push_back(kv);
+            ASSERT_EQ(got, want) << w.str();
+            ASSERT_EQ(t.has_route_within(w), !want.empty()) << w.str();
+        } else if (op == 9) {  // nearest less-specific cover
+            NetA n = pick();
+            NetA m;
+            const int* got = t.find_less_specific(n, &m);
+            const std::pair<const NetA, int>* want = nullptr;
+            for (const auto& kv : ref)
+                if (kv.first.prefix_len() < n.prefix_len() &&
+                    kv.first.contains(n) &&
+                    (want == nullptr ||
+                     kv.first.prefix_len() > want->first.prefix_len()))
+                    want = &kv;
+            if (want == nullptr) {
+                ASSERT_EQ(got, nullptr) << n.str();
+            } else {
+                ASSERT_NE(got, nullptr) << n.str();
+                ASSERT_EQ(m, want->first);
+                ASSERT_EQ(*got, want->second);
+            }
+        } else if (op == 10) {  // park a new iterator or advance one
+            if (parked.size() < 3 && rng() % 2 == 0) {
+                parked.push_back(t.begin());
+            } else if (!parked.empty()) {
+                auto& it = parked[rng() % parked.size()];
+                if (!it.at_end()) ++it;
+            }
+        } else if (!parked.empty()) {  // an iterator leaves
+            parked.erase(parked.begin() +
+                         static_cast<long>(rng() % parked.size()));
+        }
+
+        for (const auto& it : parked) {
+            if (it.at_end()) continue;
+            auto r = ref.find(it.key());
+            ASSERT_EQ(it.valid(), r != ref.end()) << it.key().str();
+            if (it.valid()) {
+                ASSERT_EQ(it.value(), r->second);
+            }
+        }
+        ASSERT_EQ(t.size(), ref.size());
+        // Pruning is deferred but bounded: every node beyond the forks
+        // the routes need is pinned by the FIFO or a parked iterator.
+        ASSERT_LE(t.pending_prunes(), kPruneFifoSlots);
+        ASSERT_LE(t.node_count(),
+                  2 * (t.size() + t.pending_prunes() + parked.size()) + 1)
+            << "step " << step;
+    }
+    parked.clear();
+    std::vector<std::pair<NetA, int>> all;
+    t.for_each([&](const NetA& n, int v) { all.emplace_back(n, v); });
+    EXPECT_EQ(all, (std::vector<std::pair<NetA, int>>(ref.begin(), ref.end())));
+}
+
+}  // namespace
+
+TEST(Trie, DifferentialAgainstMapIPv4) {
+    for (uint32_t seed = 1; seed <= 4; ++seed) run_differential<IPv4>(seed, 4000);
+}
+
+TEST(Trie, DifferentialAgainstMapIPv6) {
+    for (uint32_t seed = 1; seed <= 4; ++seed) run_differential<IPv6>(seed, 4000);
 }
