@@ -15,7 +15,10 @@
 // rows (schedule == "process_kill") carry hard invariants, not just
 // measurements: a committed artifact claiming routes were lost or the
 // FIB flinched fails validation — those numbers are the feature's
-// contract, so the trajectory file itself gates them.
+// contract, so the trajectory file itself gates them. So do the Figs
+// 10-12 profiling-point rows (those with a "point" key): every test
+// route must have been measured (measured == meta.test_routes) and
+// min <= avg <= max.
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -135,6 +138,22 @@ int check_file(const std::string& path) {
                              "%s: row %zu SIGKILL chaos did not reconverge "
                              "cleanly (fib_flinch_deletes=%g)\n",
                              path.c_str(), i, *flinch);
+                ++bad;
+            }
+        }
+        if (row.find("point") != nullptr) {
+            auto measured = row.get_number("measured");
+            auto want = meta != nullptr ? meta->get_number("test_routes")
+                                        : std::nullopt;
+            auto avg = row.get_number("avg_ms");
+            auto lo = row.get_number("min_ms");
+            auto hi = row.get_number("max_ms");
+            if (!measured || !want || *measured != *want || !avg || !lo ||
+                !hi || *avg < *lo - 1e-9 || *avg > *hi + 1e-9) {
+                std::fprintf(stderr,
+                             "%s: row %zu profiling point not measured for "
+                             "every test route, or avg outside [min, max]\n",
+                             path.c_str(), i);
                 ++bad;
             }
         }

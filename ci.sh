@@ -89,6 +89,13 @@ echo "-- build/bench/bench_route_latency (100k bulk-download smoke)"
 XRP_BENCH_DIR="$BENCH_OUT" build/bench/bench_route_latency \
     --download-only --download-routes=100000 --churn-bursts=20
 build/bench/validate_bench "$BENCH_OUT"/BENCH_route_latency.json
+# Figs 10-12 smoke: a small table and a few test routes. The binary exits
+# non-zero unless every test route yields all eight profiling points in
+# one trace.
+echo "-- build/bench/bench_route_latency (Figs 10-12 trace smoke)"
+XRP_BENCH_DIR="$BENCH_OUT" build/bench/bench_route_latency \
+    --figures-only --table-size=2000 --test-routes=8
+build/bench/validate_bench "$BENCH_OUT"/BENCH_route_latency.json
 build/bench/validate_bench "$BENCH_OUT"/BENCH_*.json
 
 echo "== multi-process smoke (fork/exec, SIGKILL, hitless upgrade) =="

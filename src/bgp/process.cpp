@@ -1,5 +1,9 @@
 #include "bgp/process.hpp"
 
+#include <optional>
+
+#include "telemetry/trace.hpp"
+
 namespace xrp::bgp {
 
 using net::IPv4;
@@ -83,9 +87,8 @@ BgpProcess::BgpProcess(ev::EventLoop& loop, Config config,
             // (network statements); feeding them back would ask the RIB
             // for an origin it doesn't have.
             if (r.protocol == "local") return;
-            if (prof_rib_queued_.enabled())
-                prof_rib_queued_.record(
-                    (is_add ? "add " : "delete ") + r.net.str());
+            telemetry::trace_route(loop_.clock(), "bgp_rib_queued", is_add,
+                                   r.net);
             if (is_add)
                 rib_->add_route(r);
             else
@@ -95,20 +98,22 @@ BgpProcess::BgpProcess(ev::EventLoop& loop, Config config,
         // Same per-route filtering as the scalar callback, applied per
         // entry; a replace whose halves disagree degrades to the
         // surviving half. The filtered delta ships as one RIB call.
+        auto queued = [this](bool is_add, const IPv4Net& net) {
+            telemetry::trace_route(loop_.clock(), "bgp_rib_queued", is_add,
+                                   net);
+        };
         stage::RouteBatch<IPv4> out;
         out.reserve(batch.size());
         for (auto& e : batch.entries()) {
             const bool new_ok = e.route.protocol != "local";
             const bool old_ok = e.op != stage::BatchOp::kReplace ||
                                 e.old_route.protocol != "local";
-            if (prof_rib_queued_.enabled()) {
-                if (e.op == stage::BatchOp::kDelete && new_ok)
-                    prof_rib_queued_.record("delete " + e.route.net.str());
-                if (e.op == stage::BatchOp::kReplace && old_ok)
-                    prof_rib_queued_.record("delete " + e.old_route.net.str());
-                if (e.op != stage::BatchOp::kDelete && new_ok)
-                    prof_rib_queued_.record("add " + e.route.net.str());
-            }
+            if (e.op == stage::BatchOp::kDelete && new_ok)
+                queued(false, e.route.net);
+            if (e.op == stage::BatchOp::kReplace && old_ok)
+                queued(false, e.old_route.net);
+            if (e.op != stage::BatchOp::kDelete && new_ok)
+                queued(true, e.route.net);
             if (e.op != stage::BatchOp::kReplace) {
                 if (new_ok) out.push(std::move(e));
             } else if (new_ok && old_ok) {
@@ -236,13 +241,20 @@ void BgpProcess::handle_update(int peer_id, const UpdateMessage& update) {
     if (it == peers_.end()) return;
     PeerPipeline& p = *it->second;
 
+    // An UPDATE read off the wire roots its own trace, so every event of
+    // its routes' journey (bgp_in here, through the XRL hops, to
+    // kernel_in at the FEA) shares one trace id.
+    std::optional<telemetry::Tracer::Scope> trace_scope;
+    if (telemetry::tracing_enabled() && !telemetry::Tracer::current().valid())
+        trace_scope.emplace(telemetry::Tracer::global().begin_trace());
+
     // One UPDATE becomes one batch into the Peer In: withdrawals then
     // announcements, the announcements sharing a single interned
     // attribute block.
     stage::RouteBatch<IPv4> batch;
     batch.reserve(update.withdrawn.size() + update.nlri.size());
     for (const IPv4Net& net : update.withdrawn) {
-        if (prof_in_.enabled()) prof_in_.record("delete " + net.str());
+        telemetry::trace_route(loop_.clock(), "bgp_in", false, net);
         BgpRoute r;
         r.net = net;
         batch.del(std::move(r));
@@ -256,7 +268,7 @@ void BgpProcess::handle_update(int peer_id, const UpdateMessage& update) {
         auto attrs = intern_attrs(*update.attributes);
         const bool ibgp = p.session->is_ibgp();
         for (const IPv4Net& net : update.nlri) {
-            if (prof_in_.enabled()) prof_in_.record("add " + net.str());
+            telemetry::trace_route(loop_.clock(), "bgp_in", true, net);
             BgpRoute r;
             r.net = net;
             r.nexthop = attrs->nexthop;
@@ -452,17 +464,6 @@ void BgpProcess::install_out_filters(PeerPipeline& p) {
 void BgpProcess::nexthop_invalid(const IPv4Net& valid_subnet) {
     local_resolver_->invalidate(valid_subnet);
     for (auto& [id, p] : peers_) p->resolver->invalidate(valid_subnet);
-}
-
-void BgpProcess::set_profiler(profiler::Profiler* p) {
-    profiler_ = p;
-    if (p != nullptr) {
-        prof_in_ = p->point("bgp_in");
-        prof_rib_queued_ = p->point("bgp_rib_queued");
-    } else {
-        prof_in_ = {};
-        prof_rib_queued_ = {};
-    }
 }
 
 }  // namespace xrp::bgp

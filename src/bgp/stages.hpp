@@ -48,6 +48,10 @@ bool bgp_route_preferred(const BgpRoute& a, const BgpRoute& b);
 // route matches no single parent's stored route, so multipath mode keeps
 // a forwarded trie and recomputes the merge per event, diffing against
 // what it last emitted.
+//
+// Batches take the base push_batch: single-best mode only consults
+// parents other than the caller, and multipath diffs against forwarded_,
+// so neither cares that the caller applied the whole batch first.
 class DecisionStage : public stage::RouteStage<net::IPv4> {
 public:
     explicit DecisionStage(std::string name) : name_(std::move(name)) {}
@@ -100,16 +104,6 @@ public:
             return f != nullptr ? std::optional<BgpRoute>(*f) : std::nullopt;
         }
         return best_other(net, nullptr);
-    }
-
-    // Per-route decision logic is unchanged; the collector turns the
-    // resulting add/delete stream into one downstream message. Single-best
-    // mode only consults parents *other* than the caller, and multipath
-    // recompute diffs against forwarded_, so neither cares that the caller
-    // applied the whole batch before pushing it.
-    void push_batch(stage::RouteBatch<net::IPv4>&& batch,
-                    RouteStage* caller) override {
-        this->collect_and_forward(std::move(batch), caller);
     }
 
     std::string name() const override { return name_; }
@@ -197,6 +191,8 @@ private:
 // The RIB side of the conversation is the Figure-8 registration protocol:
 // an answer comes with a validity subnet; we cache it for every nexthop in
 // that subnet until the RIB invalidates it (owner calls invalidate()).
+// In a batch, routes with a cached metric ride the output batch; parked
+// routes are emitted one by one when the asynchronous answer arrives.
 class NexthopResolverStage : public stage::RouteStage<net::IPv4> {
 public:
     // answer(metric) — nullopt metric = nexthop unreachable.
@@ -280,15 +276,6 @@ public:
             pending_[original.nexthop].push_back(original);
             if (first) query(original.nexthop);
         }
-    }
-
-    // Routes whose nexthop metric is cached resolve inline and ride the
-    // output batch; cache misses park as before and emit per-route from
-    // the asynchronous answer (the collector is long gone by then —
-    // forward_add falls back to the normal path).
-    void push_batch(stage::RouteBatch<net::IPv4>&& batch,
-                    RouteStage* caller) override {
-        this->collect_and_forward(std::move(batch), caller);
     }
 
     std::string name() const override { return name_; }

@@ -427,6 +427,13 @@ bool EventLoop::run_once(bool may_block) {
 void EventLoop::run() {
     stopped_.store(false, std::memory_order_relaxed);
     while (!stopped_.load(std::memory_order_relaxed)) {
+        // A cancelled timer on top of the heap never fires, but the poll
+        // timeout (real clock) or the idle jump (virtual clock) would wait
+        // for its deadline. Dropping such entries lets run() return once
+        // nothing live is left. run_until/run_for keep them, so virtual
+        // time in simulated scenarios advances exactly as before.
+        while (!heap_.empty() && heap_.front()->cancelled)
+            heap_pop()->scheduled = false;
         bool any = run_once(true);
         if (!any && !hold_open_ && heap_.empty() && readers_.empty() &&
             writers_.empty() && background_task_count() == 0 &&

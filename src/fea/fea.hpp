@@ -20,7 +20,6 @@
 #include "fea/iftable.hpp"
 #include "fea/simfib.hpp"
 #include "fea/simnet.hpp"
-#include "profiler/profiler.hpp"
 #include "stage/batch.hpp"
 
 namespace xrp::fea {
@@ -82,8 +81,6 @@ public:
     // attached interfaces.
     void receive(const std::string& ifname, const Datagram& dgram);
 
-    void set_profiler(profiler::Profiler* p);
-
     // Router identity stamped on journal events; empty = unbound.
     void set_node(std::string node) { node_ = std::move(node); }
     const std::string& node() const { return node_; }
@@ -108,9 +105,6 @@ private:
     int next_sock_ = 1;
     uint64_t fib_adds_ = 0;
     uint64_t fib_deletes_ = 0;
-    profiler::Profiler* profiler_ = nullptr;
-    profiler::Profiler::ProfilePoint prof_in_;
-    profiler::Profiler::ProfilePoint prof_kernel_;
 };
 
 }  // namespace xrp::fea

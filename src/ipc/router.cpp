@@ -431,7 +431,12 @@ void XrlRouter::call_oneway(const xrl::Xrl& xrl, const CallOptions& opts) {
              });
         return;
     }
-    oneway_queues_[xrl.target()].q.emplace_back(xrl, opts);
+    auto& q = oneway_queues_[xrl.target()].q;
+    q.emplace_back(xrl, opts);
+    // A queued call may start after this stack has unwound; it stays in
+    // the trace of the code that made it.
+    if (telemetry::tracing_enabled() && !opts.trace.valid())
+        q.back().second.trace = telemetry::Tracer::current();
     pump_oneway(xrl.target());
 }
 

@@ -6,10 +6,10 @@
 // RouteBatch is an *ordered* list of add/delete/replace entries that
 // flows through the pipeline as one message (`RouteStage::push_batch`).
 // Ordering is load-bearing: replaying the entries one by one through
-// the legacy per-route calls must be semantically identical to any
-// native batch handling, and the default push_batch does exactly that
-// unroll — so every stage keeps working unchanged while hot stages
-// override it to amortize work.
+// the per-route calls must be semantically identical to any native
+// batch handling. The default push_batch runs exactly that unroll
+// through the stage's own handlers and forwards what they emit as one
+// batch; only stages that can skip per-route work override it.
 //
 // A replace entry is the batch-level spelling of the paper's
 // delete(old)+add(new) pair: `old_route` is what downstream currently

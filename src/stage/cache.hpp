@@ -38,12 +38,6 @@ public:
         this->forward_add(route);
     }
 
-    // Consistency checks run per entry (that's the point of the stage);
-    // the replicated stream goes downstream as one batch.
-    void push_batch(RouteBatch<A>&& batch, RouteStage<A>* caller) override {
-        this->collect_and_forward(std::move(batch), caller);
-    }
-
     void delete_route(const RouteT& route, RouteStage<A>*) override {
         const RouteT* held = cache_.find(route.net);
         if (held == nullptr) {

@@ -68,12 +68,6 @@ public:
         this->forward_delete(route);
     }
 
-    // A resyncing peer re-announcing its table in bulk hits this: each
-    // entry still purges our held copy (stale delete first), batched out.
-    void push_batch(RouteBatch<A>&& batch, RouteStage<A>* caller) override {
-        this->collect_and_forward(std::move(batch), caller);
-    }
-
     std::optional<RouteT> lookup_route(const Net& net) const override {
         // New routes (upstream) take precedence; otherwise our not-yet-
         // deleted copy is still the truth downstream has.

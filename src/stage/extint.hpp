@@ -55,12 +55,6 @@ public:
         }
     }
 
-    // Resolution state updates run per entry exactly as before; only the
-    // emitted resolved/retracted stream is batched downstream.
-    void push_batch(RouteBatch<A>&& batch, RouteStage<A>* caller) override {
-        this->collect_and_forward(std::move(batch), caller);
-    }
-
     std::optional<RouteT> lookup_route(const Net& net) const override {
         // Downstream truth: whatever we forwarded for this prefix.
         if (const Forwarded* f = forwarded_.find(net))

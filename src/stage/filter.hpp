@@ -48,10 +48,6 @@ public:
         if (apply(r)) this->forward_delete(r);
     }
 
-    void push_batch(RouteBatch<A>&& batch, RouteStage<A>* caller) override {
-        this->collect_and_forward(std::move(batch), caller);
-    }
-
     std::optional<RouteT> lookup_route(const Net& net) const override {
         auto r = this->lookup_upstream(net);
         if (!r) return std::nullopt;

@@ -85,13 +85,6 @@ public:
         if (other) this->forward_add(*other);  // promote the former loser
     }
 
-    // The per-entry other-parent lookups are the merge's essential work
-    // and stay; the collector folds the winner/loser message stream into
-    // one downstream batch.
-    void push_batch(RouteBatch<A>&& batch, RouteStage<A>* caller) override {
-        this->collect_and_forward(std::move(batch), caller);
-    }
-
     std::optional<RouteT> lookup_route(const Net& net) const override {
         auto ra = a_ != nullptr ? a_->lookup_route(net) : std::nullopt;
         auto rb = b_ != nullptr ? b_->lookup_route(net) : std::nullopt;

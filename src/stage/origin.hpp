@@ -73,14 +73,6 @@ public:
         this->forward_delete(removed);
     }
 
-    // Bulk entry point: identical per-route storage logic (stamping,
-    // replacement-as-delete+add, refresh-in-place), but downstream sees
-    // one batch instead of one virtual call per message.
-    void push_batch(RouteBatch<A>&& batch,
-                    RouteStage<A>* caller = nullptr) override {
-        this->collect_and_forward(std::move(batch), caller);
-    }
-
     std::optional<RouteT> lookup_route(const Net& net) const override {
         this->stage_metrics().lookups->inc();
         const RouteT* r = table_->find(net);

@@ -13,6 +13,8 @@
 
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "stage/stage.hpp"
 
@@ -25,16 +27,11 @@ public:
     using typename RouteStage<A>::Net;
     using Predicate = std::function<bool(const RouteT&)>;
     using Sink = std::function<void(bool is_add, const RouteT&)>;
-    // Batch-aware redistribution clients install this to receive one
-    // framed delta per upstream batch instead of a call per route.
-    using BatchSink = std::function<void(RouteBatch<A>&&)>;
 
     RedistStage(std::string name, Predicate pred, Sink sink)
         : name_(std::move(name)),
           pred_(std::move(pred)),
           sink_(std::move(sink)) {}
-
-    void set_batch_sink(BatchSink sink) { batch_sink_ = std::move(sink); }
 
     void add_route(const RouteT& route, RouteStage<A>*) override {
         this->forward_add(route);
@@ -46,53 +43,23 @@ public:
         if (pred_(route)) sink_(false, route);
     }
 
-    // The main stream is forwarded whole; the tap is rebuilt from the
-    // entries the predicate matches (a replace whose halves disagree on
-    // the predicate degrades to the surviving half, mirroring what the
-    // per-route unroll would have sent the sink).
+    // The main stream is forwarded whole, then the sink sees the entries
+    // the predicate matches (a replace whose halves disagree on the
+    // predicate degrades to the surviving half, as in the per-route
+    // unroll).
     void push_batch(RouteBatch<A>&& batch, RouteStage<A>*) override {
-        RouteBatch<A> tap;
+        std::vector<std::pair<bool, RouteT>> tap;
         for (const auto& e : batch.entries()) {
-            switch (e.op) {
-            case BatchOp::kAdd:
-                if (pred_(e.route)) tap.add(e.route);
-                break;
-            case BatchOp::kDelete:
-                if (pred_(e.route)) tap.del(e.route);
-                break;
-            case BatchOp::kReplace: {
-                const bool old_in = pred_(e.old_route);
-                const bool new_in = pred_(e.route);
-                if (old_in && new_in)
-                    tap.replace(e.old_route, e.route);
-                else if (old_in)
-                    tap.del(e.old_route);
-                else if (new_in)
-                    tap.add(e.route);
-                break;
+            if (e.op != BatchOp::kAdd) {
+                const RouteT& gone =
+                    e.op == BatchOp::kReplace ? e.old_route : e.route;
+                if (pred_(gone)) tap.emplace_back(false, gone);
             }
-            }
+            if (e.op != BatchOp::kDelete && pred_(e.route))
+                tap.emplace_back(true, e.route);
         }
         this->forward_batch(std::move(batch));
-        if (tap.empty()) return;
-        if (batch_sink_) {
-            batch_sink_(std::move(tap));
-        } else if (sink_) {
-            for (const auto& e : tap.entries()) {
-                switch (e.op) {
-                case BatchOp::kAdd:
-                    sink_(true, e.route);
-                    break;
-                case BatchOp::kDelete:
-                    sink_(false, e.route);
-                    break;
-                case BatchOp::kReplace:
-                    sink_(false, e.old_route);
-                    sink_(true, e.route);
-                    break;
-                }
-            }
-        }
+        for (const auto& [is_add, r] : tap) sink_(is_add, r);
     }
 
     std::optional<RouteT> lookup_route(const Net& net) const override {
@@ -105,7 +72,6 @@ private:
     std::string name_;
     Predicate pred_;
     Sink sink_;
-    BatchSink batch_sink_;
 };
 
 }  // namespace xrp::stage

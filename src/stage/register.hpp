@@ -86,12 +86,6 @@ public:
         invalidate_overlapping(route.net);
     }
 
-    // Replica maintenance and interest invalidation stay per entry (both
-    // depend on each route's prefix); the forwarded stream is batched.
-    void push_batch(RouteBatch<A>&& batch, RouteStage<A>* caller) override {
-        this->collect_and_forward(std::move(batch), caller);
-    }
-
     std::optional<RouteT> lookup_route(const Net& net) const override {
         const RouteT* r = replica_.find(net);
         return r != nullptr ? std::optional<RouteT>(*r) : std::nullopt;

@@ -54,13 +54,20 @@ public:
 
     // ---- the bulk verb ---------------------------------------------------
     // An ordered delta of adds/deletes/replaces flowing downstream as one
-    // message. The default unrolls to the legacy per-route calls, so every
-    // stage works unchanged; hot stages override it to amortize dispatch,
-    // lookups, telemetry and journaling. Overrides must be message-
-    // preserving: processing the entries in order through the override
-    // must hand downstream the same add/delete stream the unroll would
-    // (replace = delete(old) then add(new)).
-    virtual void push_batch(RouteBatch<A>&& batch, RouteStage* caller) {
+    // message. The default runs the entries, in order, through this
+    // stage's own add_route/delete_route (replace = delete(old) then
+    // add(new)) with forward_add/forward_delete collected into one output
+    // batch, then hands that batch downstream as a single message.
+    // Per-route processing is the unroll's by construction; only the
+    // downstream traversal (virtual dispatch, telemetry, journaling per
+    // message) collapses to once per batch, which is what dominates at
+    // million-route scale. Overrides must be message-preserving: they
+    // must hand downstream the same add/delete stream this default does.
+    virtual void push_batch(RouteBatch<A>&& batch,
+                            RouteStage* caller = nullptr) {
+        RouteBatch<A> out;
+        out.reserve(batch.size());
+        collect_ = &out;
         for (auto& e : batch.entries()) {
             switch (e.op) {
             case BatchOp::kAdd:
@@ -75,6 +82,8 @@ public:
                 break;
             }
         }
+        collect_ = nullptr;
+        forward_batch(std::move(out));
     }
 
     // ---- plumbing -------------------------------------------------------
@@ -104,23 +113,6 @@ protected:
         }
         stage_metrics().deletes->inc();
         if (downstream_ != nullptr) downstream_->delete_route(r, this);
-    }
-    // The workhorse behind most push_batch overrides: runs the batch
-    // through this stage's own per-route handlers (the base unroll calls
-    // the virtual add_route/delete_route) with forward_add/forward_delete
-    // redirected into one output batch, then hands that batch downstream
-    // as a single message. Per-route *processing* is untouched — semantics
-    // stay pinned to the unroll by construction — but the downstream
-    // pipeline traversal (virtual dispatch, telemetry, journaling per
-    // message) collapses to once per batch, which is what dominates at
-    // million-route scale.
-    void collect_and_forward(RouteBatch<A>&& batch, RouteStage* caller) {
-        RouteBatch<A> out;
-        out.reserve(batch.size());
-        collect_ = &out;
-        RouteStage<A>::push_batch(std::move(batch), caller);
-        collect_ = nullptr;
-        forward_batch(std::move(out));
     }
     std::optional<RouteT> lookup_upstream(const Net& net) const {
         stage_metrics().lookups->inc();

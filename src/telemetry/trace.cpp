@@ -6,8 +6,6 @@
 
 namespace xrp::telemetry {
 
-thread_local TraceContext Tracer::current_{};
-
 Tracer& Tracer::global() {
     static Tracer* t = new Tracer();  // immortal, like Registry::global()
     return *t;

@@ -1,10 +1,12 @@
-// XRL call tracing: the paper's Figures 10–12 follow one route's journey
-// through eight profiling points across three processes. This generalizes
-// that: a trace id plus hop count rides along with every XRL request (an
-// optional trailer in the binary wire format), so any causally-linked
-// chain of calls — BGP → RIB → FEA for a route add — can be reassembled
-// afterwards as one trace with per-hop timestamps, whatever mixture of
-// protocol families the hops used.
+// The one per-route event recorder, and the home of the paper's §8.2
+// profiling points. Figures 10–12 follow one route's journey through
+// eight points across three processes; here a trace id plus hop count
+// rides along with every XRL request (an optional trailer in the binary
+// wire format), so any causally-linked chain of calls — BGP → RIB → FEA
+// for a route add — can be reassembled afterwards as one trace with
+// per-hop timestamps, whatever mixture of protocol families the hops
+// used. The XRL layer stamps "send" and "dispatch" events; components
+// stamp the points between hops with trace_route() (below).
 //
 // Mechanics: a thread_local "current context" holds the trace the code is
 // executing under. XrlRouter::send starts a new trace when none is active
@@ -50,8 +52,8 @@ struct TraceEvent {
     uint64_t trace_id = 0;
     uint32_t hop = 0;
     ev::TimePoint t{};
-    std::string point;   // "send" | "dispatch"
-    std::string detail;  // e.g. "stcp rib/1.0/add_route"
+    std::string point;   // "send" | "dispatch" | a profiling point
+    std::string detail;  // e.g. "stcp rib/1.0/add_route", "add 10.0.1.0/24"
 };
 
 class Tracer {
@@ -125,7 +127,10 @@ public:
     std::string format_jsonl() const;
 
 private:
-    static thread_local TraceContext current_;
+    // Defined inline so every translation unit sees its constant
+    // initializer and reads it directly, not through a TLS init wrapper
+    // (which UBSan misreports as a store to a null pointer).
+    static inline thread_local TraceContext current_{};
 
     std::atomic<bool> enabled_{false};
     std::atomic<uint64_t> next_id_{1};
@@ -136,6 +141,21 @@ private:
     size_t head_ = 0;  // index of oldest when full
     size_t capacity_ = 65536;
 };
+
+// Records one per-route profiling point ("add 10.0.1.0/24") under the
+// current trace. The Figs 10-12 points that are not XRL hops use it:
+// bgp_in, bgp_rib_queued, rib_fea_queued and kernel_in. While tracing is
+// off the whole call is one relaxed atomic load; outside a trace it
+// records nothing.
+template <class Net>
+inline void trace_route(ev::Clock& clock, const char* point, bool is_add,
+                        const Net& net) {
+    if (!tracing_enabled()) return;
+    const TraceContext ctx = Tracer::current();
+    if (!ctx.valid()) return;
+    Tracer::global().record(ctx, clock.now(), point,
+                            (is_add ? "add " : "delete ") + net.str());
+}
 
 }  // namespace xrp::telemetry
 

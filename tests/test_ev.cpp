@@ -239,6 +239,31 @@ TEST(EventLoop, MovedTimerKeepsRegistration) {
     EXPECT_EQ(fired, 1);
 }
 
+TEST(EventLoop, RunDoesNotWaitForCancelledTimers) {
+    // A loop whose only timer was cancelled has nothing left to do: run()
+    // returns without waiting out (real clock) or jumping to (virtual
+    // clock) the dead deadline.
+    {
+        RealClock clock;
+        EventLoop loop(clock);
+        Timer t = loop.set_timer(2s, [] {});
+        t.unschedule();
+        const TimePoint t0 = clock.now();
+        loop.run();
+        EXPECT_LT(clock.now() - t0, Duration(1s));
+    }
+    {
+        VirtualClock clock;
+        EventLoop loop(clock);
+        Timer t = loop.set_timer(10s, [] {});
+        t.unschedule();
+        const TimePoint t0 = clock.now();
+        loop.run();
+        EXPECT_EQ(clock.now(), t0);
+        EXPECT_EQ(loop.timer_heap_size(), 0u);
+    }
+}
+
 // An XRL client arms a 2 s attempt timer per call and cancels it when the
 // reply lands. Cancelled timers must not pile up in the heap until their
 // deadlines, and a short timer armed after them must still fire on time.

@@ -4,6 +4,7 @@
 
 #include "ev/eventloop.hpp"
 #include "fea/fea.hpp"
+#include "telemetry/trace.hpp"
 
 using namespace xrp;
 using namespace xrp::fea;
@@ -187,16 +188,25 @@ TEST(Fea, UdpPortConflictRefused) {
 }
 
 TEST(Fea, ProfilerPointsFire) {
+    // "Entering kernel" (§8.2) is a tracer event stamped under the current
+    // trace; while tracing is off nothing is recorded.
     ev::VirtualClock clock;
     ev::EventLoop loop(clock);
     Fea fea(loop);
-    profiler::Profiler prof(loop);
-    fea.set_profiler(&prof);
-    prof.enable("fea_in");
-    prof.enable("kernel_in");
+    telemetry::Tracer& tracer = telemetry::Tracer::global();
+    tracer.clear();
+    telemetry::Tracer::Scope scope(tracer.begin_trace());
     fea.add_route(IPv4Net::must_parse("10.0.0.0/8"),
                   IPv4::must_parse("192.0.2.1"));
-    ASSERT_EQ(prof.records("fea_in").size(), 1u);
-    EXPECT_EQ(prof.records("fea_in")[0].payload, "add 10.0.0.0/8");
-    EXPECT_EQ(prof.records("kernel_in").size(), 1u);
+    EXPECT_EQ(tracer.event_count(), 0u);
+
+    tracer.set_enabled(true);
+    fea.add_route(IPv4Net::must_parse("10.1.0.0/16"),
+                  IPv4::must_parse("192.0.2.1"));
+    tracer.set_enabled(false);
+    const auto events = tracer.events();
+    tracer.clear();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].point, "kernel_in");
+    EXPECT_EQ(events[0].detail, "add 10.1.0.0/16");
 }

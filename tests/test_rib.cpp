@@ -8,6 +8,7 @@
 
 #include "ev/eventloop.hpp"
 #include "rib/rib.hpp"
+#include "telemetry/trace.hpp"
 
 using namespace xrp;
 using namespace xrp::rib;
@@ -213,15 +214,27 @@ TEST(Rib, RegisterInterestNoRoute) {
 }
 
 TEST(Rib, ProfilerPointsFire) {
+    // "Queued for transmission to the FEA" (§8.2) is a tracer event
+    // stamped under the current trace; while tracing is off nothing is
+    // recorded.
     RibFixture f;
-    profiler::Profiler prof(f.loop);
-    f.rib.set_profiler(&prof);
-    prof.enable("rib_in");
-    prof.enable("rib_fea_queued");
+    telemetry::Tracer& tracer = telemetry::Tracer::global();
+    tracer.clear();
+    telemetry::Tracer::Scope scope(tracer.begin_trace());
     f.rib.add_route("static", IPv4Net::must_parse("10.0.0.0/8"),
                     IPv4::must_parse("192.0.2.9"));
-    EXPECT_EQ(prof.records("rib_in").size(), 1u);
-    EXPECT_EQ(prof.records("rib_fea_queued").size(), 1u);
+    EXPECT_EQ(tracer.event_count(), 0u);
+
+    tracer.set_enabled(true);
+    f.rib.add_route("static", IPv4Net::must_parse("10.1.0.0/16"),
+                    IPv4::must_parse("192.0.2.9"));
+    tracer.set_enabled(false);
+    std::vector<telemetry::TraceEvent> queued;
+    for (const auto& e : tracer.events())
+        if (e.point == "rib_fea_queued") queued.push_back(e);
+    tracer.clear();
+    ASSERT_EQ(queued.size(), 1u);
+    EXPECT_EQ(queued[0].detail, "add 10.1.0.0/16");
 }
 
 TEST(Rib, RedistStagesAreDynamicAndIndependent) {

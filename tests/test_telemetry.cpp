@@ -1,17 +1,17 @@
 // Telemetry tests: registry semantics, histogram percentile math, the
 // optional trace trailer on the wire (backward compatible), trace
-// propagation across all three XRL protocol families, the handle-based
-// profiler API, and the paper's Figures 10-12 chain — BGP -> RIB -> FEA
-// reassembled as one causally-linked trace.
+// propagation across all three XRL protocol families, and the paper's
+// Figures 10-12 chain — BGP -> RIB -> FEA reassembled as one
+// causally-linked trace carrying all eight profiling points.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <sstream>
 
 #include "ipc/router.hpp"
 #include "ipc/wire.hpp"
-#include "profiler/profiler.hpp"
 #include "rtrmgr/rtrmgr.hpp"
 #include "telemetry/journal.hpp"
 #include "telemetry/json.hpp"
@@ -315,6 +315,45 @@ TEST(Trace, PropagatesAcrossUdp) {
     expect_chain_trace("sudp");
 }
 
+TEST(Trace, QueuedOnewayCallKeepsCallersTrace) {
+    // One-way calls to a target go out one at a time, so the second call
+    // starts from the first one's completion, after the code that made it
+    // has returned. It must still be sent under that caller's trace.
+    TracingOn tracing;
+    ev::RealClock clock;
+    ipc::Plexus plexus(clock);
+    ipc::XrlRouter svc(plexus, "svc", true);
+    int calls = 0;
+    svc.add_handler("noop/1.0/noop", [&](const XrlArgs&, XrlArgs&) {
+        ++calls;
+        return XrlError::okay();
+    });
+    svc.enable_tcp();
+    ASSERT_TRUE(svc.finalize());
+    ipc::XrlRouter client(plexus, "cli");
+    client.finalize();
+    client.set_preferred_family("stcp");
+
+    const TraceContext callers[] = {Tracer::global().begin_trace(),
+                                    Tracer::global().begin_trace()};
+    for (const TraceContext& ctx : callers) {
+        Tracer::Scope scope(ctx);
+        client.call_oneway(
+            Xrl::generic("svc", "noop", "1.0", "noop", XrlArgs()));
+    }
+    ASSERT_TRUE(plexus.loop.run_until([&] { return calls == 2; }, 5s));
+    for (const TraceContext& ctx : callers) {
+        int sends = 0;
+        int dispatches = 0;
+        for (const TraceEvent& e : Tracer::global().events_for(ctx.trace_id)) {
+            sends += e.point == "send";
+            dispatches += e.point == "dispatch";
+        }
+        EXPECT_EQ(sends, 1) << Tracer::global().format();
+        EXPECT_EQ(dispatches, 1) << Tracer::global().format();
+    }
+}
+
 TEST(Trace, DisabledTracingRecordsNothing) {
     Tracer::global().clear();
     ASSERT_FALSE(Tracer::global().enabled());
@@ -394,54 +433,6 @@ TEST(TelemetryXrl, SnapshotReachableOnAnyFinalizedTarget) {
     Tracer::global().clear();
 }
 
-// ---- profiler handle API -----------------------------------------------
-
-TEST(Profiler, HandleRecordsOnlyWhenEnabled) {
-    ev::VirtualClock clock;
-    ev::EventLoop loop(clock);
-    profiler::Profiler prof(loop);
-
-    profiler::Profiler::ProfilePoint inert;
-    EXPECT_FALSE(inert.enabled());
-    inert.record("dropped on the floor");
-
-    profiler::Profiler::ProfilePoint p = prof.point("route_ribin");
-    EXPECT_FALSE(p.enabled());
-    p.record("ignored while disabled");
-    EXPECT_TRUE(prof.records("route_ribin").empty());
-
-    prof.enable("route_ribin");
-    EXPECT_TRUE(p.enabled());
-    p.record("add 10.0.1.0/24");
-    ASSERT_EQ(prof.records("route_ribin").size(), 1u);
-    EXPECT_EQ(prof.records("route_ribin")[0].payload, "add 10.0.1.0/24");
-
-    // The legacy string API shares the same points.
-    prof.record("route_ribin", "delete 10.0.1.0/24");
-    EXPECT_EQ(prof.records("route_ribin").size(), 2u);
-}
-
-TEST(Profiler, RecordCapCountsDrops) {
-    ev::VirtualClock clock;
-    ev::EventLoop loop(clock);
-    profiler::Profiler prof(loop);
-    profiler::Profiler::ProfilePoint p = prof.point("hot");
-    prof.enable("hot");
-    for (size_t i = 0; i < profiler::Profiler::kMaxRecordsPerPoint; ++i)
-        p.record({});
-    EXPECT_EQ(prof.records("hot").size(),
-              profiler::Profiler::kMaxRecordsPerPoint);
-    EXPECT_EQ(prof.dropped("hot"), 0u);
-    p.record("over the cap");
-    p.record("also over");
-    EXPECT_EQ(prof.records("hot").size(),
-              profiler::Profiler::kMaxRecordsPerPoint);
-    EXPECT_EQ(prof.dropped("hot"), 2u);
-    prof.clear("hot");
-    EXPECT_EQ(prof.dropped("hot"), 0u);
-    EXPECT_TRUE(prof.records("hot").empty());
-}
-
 // ---- the Figures 10-12 chain as one trace ------------------------------
 
 TEST(Trace, BgpRibFeaChainIsOneCausalTrace) {
@@ -505,6 +496,36 @@ TEST(Trace, BgpRibFeaChainIsOneCausalTrace) {
     EXPECT_TRUE(found_chain) << "rib and fea dispatches not causally "
                                 "linked in any one trace:\n"
                              << Tracer::global().format();
+
+    // All eight Figures 10-12 profiling points are in the one trace that
+    // r2's BGP opened for the UPDATE, in path order.
+    const std::string payload = "add 10.99.0.0/16";
+    uint64_t id = 0;
+    for (const TraceEvent& ev : Tracer::global().events())
+        if (ev.point == "bgp_in" && ev.detail == payload) id = ev.trace_id;
+    ASSERT_NE(id, 0u) << Tracer::global().format();
+    const std::pair<const char*, const char*> points[] = {
+        {"bgp_in", payload.c_str()},
+        {"bgp_rib_queued", payload.c_str()},
+        {"send", "rib/1.0/add_route"},
+        {"dispatch", "rib/1.0/add_route"},
+        {"rib_fea_queued", payload.c_str()},
+        {"send", "fea/1.0/add_route4"},
+        {"dispatch", "fea/1.0/add_route4"},
+        {"kernel_in", payload.c_str()},
+    };
+    const std::vector<TraceEvent> trace = Tracer::global().events_for(id);
+    ev::TimePoint prev{};
+    for (const auto& [point, detail] : points) {
+        auto it = std::find_if(trace.begin(), trace.end(), [&](const auto& e) {
+            return e.point == point &&
+                   e.detail.find(detail) != std::string::npos;
+        });
+        ASSERT_NE(it, trace.end()) << point << " " << detail << " missing:\n"
+                                   << Tracer::global().format();
+        EXPECT_GE(it->t, prev) << point << " " << detail;
+        prev = it->t;
+    }
 }
 
 // ---- machine-readable trace dump ---------------------------------------
