@@ -41,11 +41,8 @@
 #include <malloc.h>
 #endif
 
-#include "bgp/bgp_xrl.hpp"
-#include "fea/fea_xrl.hpp"
 #include "report.hpp"
-#include "rib/rib_xrl.hpp"
-#include "rtrmgr/threaded.hpp"
+#include "rtrmgr/rtrmgr.hpp"
 #include "sim/harness.hpp"
 #include "sim/routefeed.hpp"
 #include "telemetry/metrics.hpp"
@@ -118,41 +115,39 @@ struct Stack {
     ipc::Plexus plexus{clock};
 
     ipc::XrlRouter fea_xr{plexus, "fea", true};
-    fea::Fea fea{plexus.loop};
     ipc::XrlRouter rib_xr{plexus, "rib", true};
-    std::unique_ptr<rib::Rib> rib;
-    rib::XrlFeaHandle* fea_handle = nullptr;
     ipc::XrlRouter bgp_xr{plexus, "bgp", true};
-    std::unique_ptr<bgp::BgpProcess> bgp_proc;
-    bgp::XrlRibHandle* rib_handle = nullptr;
+    rtrmgr::Components parts;
+    fea::Fea* fea = nullptr;
+    rib::Rib* rib = nullptr;
+    bgp::BgpProcess* bgp_proc = nullptr;
+    bgp::RibHandle* rib_handle = nullptr;
+
+    // Builds one component through its table entry, listening on TCP.
+    static void build(const char* cls, ipc::XrlRouter& xr,
+                      rtrmgr::Components& c) {
+        rtrmgr::find_component(cls)->build(xr.loop(), xr, c);
+        xr.enable_tcp();
+        xr.finalize();
+    }
 
     Stack() {
         // Every component listens on TCP and prefers TCP outbound, so
         // inter-component XRLs run over real loopback sockets, like the
         // separate processes of the paper's deployment.
-        fea::bind_fea_xrl(fea, fea_xr);
-        fea_xr.enable_tcp();
-        fea_xr.finalize();
+        build("fea", fea_xr, parts);
+        fea = parts.fea.get();
 
-        auto fh = std::make_unique<rib::XrlFeaHandle>(rib_xr);
-        fea_handle = fh.get();
-        rib = std::make_unique<rib::Rib>(plexus.loop, std::move(fh));
-        rib::bind_rib_xrl(*rib, rib_xr);
-        rib_xr.enable_tcp();
-        rib_xr.finalize();
+        build("rib", rib_xr, parts);
         rib_xr.set_preferred_family("stcp");
+        rib = parts.rib.get();
 
-        bgp::BgpProcess::Config cfg;
-        cfg.local_as = 1777;
-        cfg.bgp_id = IPv4::must_parse("192.0.2.250");
-        auto rh = std::make_unique<bgp::XrlRibHandle>(bgp_xr);
-        rib_handle = rh.get();
-        bgp_proc = std::make_unique<bgp::BgpProcess>(plexus.loop, cfg,
-                                                     std::move(rh));
-        bgp::bind_bgp_xrl(*bgp_proc, bgp_xr);
-        bgp_xr.enable_tcp();
-        bgp_xr.finalize();
+        parts.bgp_config.local_as = 1777;
+        parts.bgp_config.bgp_id = IPv4::must_parse("192.0.2.250");
+        build("bgp", bgp_xr, parts);
         bgp_xr.set_preferred_family("stcp");
+        bgp_proc = parts.bgp.get();
+        rib_handle = &bgp_proc->rib_handle();
 
         // The IGP route that makes peer nexthops resolvable; kept
         // installed for the whole test, like the paper's single route
@@ -205,11 +200,11 @@ bool run_experiment(bench::Report& report, const char* figure,
                              "dbg t=%d locrib=%zu rib=%zu fib=%zu\n  bgp %s\n"
                              "  rib %s\n  fea %s\n",
                              k, stack.bgp_proc->loc_rib_count(),
-                             stack.rib->route_count(), stack.fea.fib().size(),
+                             stack.rib->route_count(), stack.fea->fib().size(),
                              stack.bgp_xr.debug_state().c_str(),
                              stack.rib_xr.debug_state().c_str(),
                              stack.fea_xr.debug_state().c_str());
-                if (stack.fea.fib().size() >= table_size) break;
+                if (stack.fea->fib().size() >= table_size) break;
             }
         }
         if (!stack.run_until(
@@ -221,14 +216,14 @@ bool run_experiment(bench::Report& report, const char* figure,
         }
         // Let the RIB/FEA drain.
         if (!stack.run_until(
-                [&] { return stack.fea.fib().size() >= table_size; }, 600s)) {
+                [&] { return stack.fea->fib().size() >= table_size; }, 600s)) {
             std::fprintf(stderr, "FIB load timed out (fib=%zu)\n",
-                         stack.fea.fib().size());
+                         stack.fea->fib().size());
             return false;
         }
         std::fprintf(stderr, "[%s] feed loaded: bgp=%zu rib=%zu fib=%zu\n",
                      title, stack.bgp_proc->loc_rib_count(),
-                     stack.rib->route_count(), stack.fea.fib().size());
+                     stack.rib->route_count(), stack.fea->fib().size());
     }
 
     sim::FeedPeer* feed = same_peering ? feed_a.get() : feed_b.get();
@@ -240,14 +235,14 @@ bool run_experiment(bench::Report& report, const char* figure,
     feed->announce(IPv4Net::must_parse("10.255.255.0/24"), nexthop, {65000});
     stack.run_until(
         [&] {
-            return stack.fea.fib().find_exact(
+            return stack.fea->fib().find_exact(
                        IPv4Net::must_parse("10.255.255.0/24")) != nullptr;
         },
         10s);
     feed->withdraw(IPv4Net::must_parse("10.255.255.0/24"));
     stack.run_until(
         [&] {
-            return stack.fea.fib().find_exact(
+            return stack.fea->fib().find_exact(
                        IPv4Net::must_parse("10.255.255.0/24")) == nullptr;
         },
         10s);
@@ -264,7 +259,7 @@ bool run_experiment(bench::Report& report, const char* figure,
         tracer.clear();
         feed->announce(net, nexthop, {65000});
         const bool ok = stack.run_until(
-            [&] { return stack.fea.fib().find_exact(net) != nullptr; }, 5s);
+            [&] { return stack.fea->fib().find_exact(net) != nullptr; }, 5s);
         if (auto t = ok ? route_points(tracer.events(), "add " + net.str())
                         : std::nullopt) {
             ++measured;
@@ -276,7 +271,7 @@ bool run_experiment(bench::Report& report, const char* figure,
         }
         feed->withdraw(net);
         stack.run_until(
-            [&] { return stack.fea.fib().find_exact(net) == nullptr; }, 5s);
+            [&] { return stack.fea->fib().find_exact(net) == nullptr; }, 5s);
     }
     tracer.set_enabled(false);
     tracer.clear();
@@ -342,7 +337,7 @@ double run_download_mode(bench::Report& report, bool batched, size_t n_routes,
         stack.rib_xr.set_preferred_family("");
         stack.bgp_xr.set_preferred_family("");
     }
-    const size_t base_fib = stack.fea.fib().size();
+    const size_t base_fib = stack.fea->fib().size();
 
     std::fprintf(stderr, "[download %s] pushing %zu routes...\n", mode,
                  n_routes);
@@ -360,7 +355,7 @@ double run_download_mode(bench::Report& report, bool batched, size_t n_routes,
                 // Keep the pipeline moving so send queues stay bounded.
                 stack.run_until(
                     [&] {
-                        return stack.fea.fib().size() + 8 * kChunk >=
+                        return stack.fea->fib().size() + 8 * kChunk >=
                                base_fib + i;
                     },
                     60s);
@@ -373,17 +368,17 @@ double run_download_mode(bench::Report& report, bool batched, size_t n_routes,
             if (i % kChunk == kChunk - 1)
                 stack.run_until(
                     [&] {
-                        return stack.fea.fib().size() + 8 * kChunk >=
+                        return stack.fea->fib().size() + 8 * kChunk >=
                                base_fib + i;
                     },
                     60s);
         }
     }
     if (!stack.run_until(
-            [&] { return stack.fea.fib().size() >= base_fib + n_routes; },
+            [&] { return stack.fea->fib().size() >= base_fib + n_routes; },
             1200s)) {
         std::fprintf(stderr, "[download %s] timed out (fib=%zu)\n", mode,
-                     stack.fea.fib().size());
+                     stack.fea->fib().size());
         return 0;
     }
     const double dl_secs =
@@ -430,7 +425,7 @@ double run_download_mode(bench::Report& report, bool batched, size_t n_routes,
         }
         if (!stack.run_until(
                 [&] {
-                    return stack.fea.fib().find_exact(sentinel) != nullptr;
+                    return stack.fea->fib().find_exact(sentinel) != nullptr;
                 },
                 30s)) {
             std::fprintf(stderr, "[churn %s] burst %zu timed out\n", mode,
@@ -467,17 +462,33 @@ double run_download_mode(bench::Report& report, bool batched, size_t n_routes,
 }
 
 // The parallel-control-plane download: BGP, RIB, and FEA each on their
-// own thread (ThreadedRouter), batches posted onto the BGP thread, every
-// hop over xring. The main thread only builds batches and polls the
-// atomic FIB mirror.
+// own thread (Router's thread placement), batches posted onto the BGP
+// thread, every hop over xring. The main thread only builds batches and
+// polls the atomic FIB mirror.
 double run_download_threaded(bench::Report& report, size_t n_routes,
                              size_t churn_bursts, size_t burst_size) {
     const char* mode = "threaded";
     ev::RealClock clock;
-    rtrmgr::ThreadedRouter router(clock);
-    router.rib().add_route("static", IPv4Net::must_parse("192.0.2.0/24"),
-                           IPv4::must_parse("192.0.2.250"), 1);
-    router.start();
+    ev::EventLoop mgr_loop(clock);
+    rtrmgr::Router router("threaded", mgr_loop,
+                          rtrmgr::Router::Placement::kThreads);
+    std::string err;
+    if (!router.configure(
+            "protocols { bgp { local-as 1777; bgp-id 192.0.2.250; } }",
+            &err)) {
+        std::fprintf(stderr, "[download %s] %s\n", mode, err.c_str());
+        return 0;
+    }
+    router.run_sync("rib", [&router] {
+        router.rib().add_route("static", IPv4Net::must_parse("192.0.2.0/24"),
+                               IPv4::must_parse("192.0.2.250"), 1);
+    });
+    auto push = [&router](stage::RouteBatch4&& batch) {
+        auto bp = std::make_shared<stage::RouteBatch4>(std::move(batch));
+        router.post("bgp", [&router, bp] {
+            router.bgp()->rib_handle().push_batch(std::move(*bp));
+        });
+    };
 
     auto wait_for = [](const std::function<bool()>& pred,
                        std::chrono::seconds limit) {
@@ -501,10 +512,7 @@ double run_download_threaded(bench::Report& report, size_t n_routes,
     for (size_t i = 0; i < n_routes; ++i) {
         b.add(download_route(i, "192.0.2.1"));
         if (b.size() == kChunk) {
-            auto bp = std::make_shared<stage::RouteBatch4>(std::move(b));
-            router.post_bgp([&router, bp] {
-                router.rib_handle()->push_batch(std::move(*bp));
-            });
+            push(std::move(b));
             b.clear();
             b.reserve(kChunk);
             // Flow control from the producer side: cap the number of
@@ -514,11 +522,7 @@ double run_download_threaded(bench::Report& report, size_t n_routes,
                 60s);
         }
     }
-    if (!b.empty()) {
-        auto bp = std::make_shared<stage::RouteBatch4>(std::move(b));
-        router.post_bgp(
-            [&router, bp] { router.rib_handle()->push_batch(std::move(*bp)); });
-    }
+    if (!b.empty()) push(std::move(b));
     if (!wait_for(
             [&] { return router.fib_size() >= base_fib + n_routes; }, 1200s)) {
         std::fprintf(stderr, "[download %s] timed out (fib=%zu)\n", mode,
@@ -558,9 +562,7 @@ double run_download_threaded(bench::Report& report, size_t n_routes,
         cb.add(sent_r);
         const size_t want = router.fib_size() + 1;
         const auto tb = std::chrono::steady_clock::now();
-        auto bp = std::make_shared<stage::RouteBatch4>(std::move(cb));
-        router.post_bgp(
-            [&router, bp] { router.rib_handle()->push_batch(std::move(*bp)); });
+        push(std::move(cb));
         if (!wait_for([&] { return router.fib_size() >= want; }, 30s)) {
             std::fprintf(stderr, "[churn %s] burst %zu timed out\n", mode,
                          burst);
@@ -570,7 +572,6 @@ double run_download_threaded(bench::Report& report, size_t n_routes,
                       std::chrono::steady_clock::now() - tb)
                       .count());
     }
-    router.stop();
 
     std::printf("%-12s churn (%zu bursts x %zu): p50 %.3f ms  p95 %.3f ms  "
                 "p99 %.3f ms\n",

@@ -26,13 +26,13 @@ cmake --build build-asan -j "$JOBS"
 
 echo "== thread-sanitized build (TSan, cross-thread suites) =="
 # The threading seams — EventLoop post/wake, the xring SPSC rings, the
-# multi-producer journal, ComponentThread lifecycle, and the full
-# ThreadedRouter — run under TSan. Scoped to the suites that actually
-# cross threads; the virtual-clock single-thread suites add nothing
-# under TSan but cost 5-20x wall clock.
+# multi-producer journal, ComponentThread lifecycle, and the full Router
+# in both placements (RouterPlacement) — run under TSan. Scoped to the
+# suites that actually cross threads; the virtual-clock single-thread
+# suites add nothing under TSan but cost 5-20x wall clock.
 cmake -B build-tsan -S . -DXRP_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target test_threads test_xring
-(cd build-tsan && ctest -R 'Xring|Threads|ComponentThread|InternAffinity' --output-on-failure -j "$JOBS")
+(cd build-tsan && ctest -R 'Xring|Threads|ComponentThread|InternAffinity|RouterPlacement' --output-on-failure -j "$JOBS")
 
 echo "== chaos pass (seeded fault injection) =="
 # Fixed seed: a failure here replays exactly. The shrunk attempt timeout

@@ -128,6 +128,9 @@ public:
     // ---- RIB coupling ----------------------------------------------------
     // Called (typically via XRL) when the RIB invalidates a registration.
     void nexthop_invalid(const net::IPv4Net& valid_subnet);
+    // The handle decision winners leave through (bulk producers push
+    // batches straight into it).
+    RibHandle& rib_handle() { return *rib_; }
 
     // ---- introspection -----------------------------------------------------
     size_t peer_route_count(int peer_id) const;

@@ -679,7 +679,15 @@ void XrlRouter::finish_call(const std::shared_ptr<CallState>& st,
     st->backoff_timer.unschedule();
     ResponseCallback done = std::move(st->done);
     st->done = nullptr;
-    if (done) done(err, args);
+    if (!done) return;
+    // The response continues the caller's work: run it under the call's
+    // trace, whichever transport (and loop iteration) delivered it.
+    if (telemetry::tracing_enabled() && st->trace.valid()) {
+        telemetry::Tracer::Scope scope(st->trace);
+        done(err, args);
+        return;
+    }
+    done(err, args);
 }
 
 ev::Duration XrlRouter::backoff_for(const RetryPolicy& p, uint32_t cycle) {

@@ -1,10 +1,11 @@
 // xrp_component: the multi-call component binary of the multi-process
-// router. One executable boots any of fea/rib/bgp/ospf/rip on its own
-// event loop in its own process, registers with the Router Manager's
-// Finder over stcp (--finder=host:port is the single bootstrap datum),
-// and speaks the ordinary XRL contract from there — the same reliable
-// calls, graceful restart, and supervision as the in-process and
-// threaded deployments, now across a kernel-enforced boundary.
+// router. One executable boots any class of the component table
+// (fea/rib/bgp/ospf/rip, components.hpp) on its own event loop in its own
+// process, registers with the Router Manager's Finder over stcp
+// (--finder=host:port is the single bootstrap datum), and speaks the
+// ordinary XRL contract from there — the same reliable calls, graceful
+// restart, and supervision as the loop and thread placements of
+// rtrmgr::Router, now across a kernel-enforced boundary.
 //
 //   xrp_component --class=rib --finder=127.0.0.1:40000 [--node=r1]
 //                 [--feed-routes=N] [--feed-seed=S]
@@ -41,20 +42,11 @@
 #include <string>
 #include <vector>
 
-#include "bgp/bgp_xrl.hpp"
-#include "bgp/process.hpp"
 #include "ev/clock.hpp"
 #include "ev/eventloop.hpp"
-#include "fea/fea.hpp"
-#include "fea/fea_xrl.hpp"
 #include "ipc/common_xrl.hpp"
 #include "ipc/router.hpp"
-#include "ospf/ospf.hpp"
-#include "ospf/ospf_xrl.hpp"
-#include "rib/rib.hpp"
-#include "rib/rib_xrl.hpp"
-#include "rip/rip.hpp"
-#include "rip/rip_xrl.hpp"
+#include "rtrmgr/components.hpp"
 #include "sim/routefeed.hpp"
 #include "stage/batch.hpp"
 
@@ -236,12 +228,10 @@ int main(int argc, char** argv) {
     xr.enable_tcp();
 
     // The component objects; only the selected class is constructed.
-    std::unique_ptr<fea::Fea> fea;
-    std::unique_ptr<rib::Rib> rib;
-    std::unique_ptr<bgp::BgpProcess> bgp;
-    std::unique_ptr<fea::Fea> private_fea;  // rip/ospf interface backend
-    std::unique_ptr<rip::RipProcess> rip;
-    std::unique_ptr<ospf::OspfProcess> ospf;
+    rtrmgr::Components parts;
+    parts.node = node;
+    parts.bgp_config.local_as = 65000;
+    parts.bgp_config.bgp_id = net::IPv4((10u << 24) | 1);
     auto feed = std::make_shared<FeedState>();
 
     if (feed_routes > 0) {
@@ -261,38 +251,14 @@ int main(int argc, char** argv) {
             });
     }
 
-    if (cls == "fea") {
-        fea = std::make_unique<fea::Fea>(loop);
-        fea->set_node(node);
-        fea::bind_fea_xrl(*fea, xr);
-    } else if (cls == "rib") {
-        rib = std::make_unique<rib::Rib>(
-            loop, std::make_unique<rib::XrlFeaHandle>(xr));
-        rib->set_node(node);
-        rib::bind_rib_xrl(*rib, xr);
-    } else if (cls == "bgp") {
-        bgp::BgpProcess::Config cfg;
-        cfg.local_as = 65000;
-        cfg.bgp_id = net::IPv4((10u << 24) | 1);
-        bgp = std::make_unique<bgp::BgpProcess>(
-            loop, cfg, std::make_unique<bgp::XrlRibHandle>(xr));
-        bgp::bind_bgp_xrl(*bgp, xr);
-    } else if (cls == "rip") {
-        private_fea = std::make_unique<fea::Fea>(loop);
-        rip = std::make_unique<rip::RipProcess>(
-            loop, *private_fea, rip::RipProcess::Config{},
-            std::make_unique<rip::XrlRibClient>(xr));
-    } else if (cls == "ospf") {
-        private_fea = std::make_unique<fea::Fea>(loop);
-        ospf = std::make_unique<ospf::OspfProcess>(
-            loop, *private_fea, ospf::OspfProcess::Config{},
-            std::make_unique<ospf::XrlRibClient>(xr));
-        ospf->set_node(node);
-        ospf::bind_ospf_xrl(*ospf, xr);
-    } else {
+    const rtrmgr::ComponentEntry* entry = rtrmgr::find_component(cls);
+    if (entry == nullptr) {
         fprintf(stderr, "unknown component class: %s\n", cls.c_str());
         return 2;
     }
+    // rip/ospf get a private FEA as their interface backend.
+    if (entry->uses_fea) parts.fea = std::make_unique<fea::Fea>(loop);
+    entry->build(loop, xr, parts);
 
     if (!xr.finalize()) {
         fprintf(stderr, "%s: cannot register with finder at %s\n",

@@ -13,6 +13,7 @@
 #include <cstring>
 
 #include "ipc/common_xrl.hpp"
+#include "rtrmgr/components.hpp"
 #include "telemetry/journal.hpp"
 
 namespace xrp::rtrmgr {
@@ -336,14 +337,6 @@ ProcessRouter::~ProcessRouter() {
     supervisor_.reset();  // stop probes before the processes go away
 }
 
-std::vector<std::string> ProcessRouter::default_protocols(
-    const std::string& cls) {
-    if (cls == "bgp") return {"ebgp", "ibgp"};
-    if (cls == "ospf") return {"ospf"};
-    if (cls == "rip") return {"rip"};
-    return {};
-}
-
 bool ProcessRouter::start(const std::vector<ComponentSpec>& components) {
     if (opts_.component_binary.empty())
         opts_.component_binary = ProcessHost::find_component_binary();
@@ -354,10 +347,13 @@ bool ProcessRouter::start(const std::vector<ComponentSpec>& components) {
         return false;
     }
     for (const ComponentSpec& spec : components) {
+        if (find_component(spec.cls) == nullptr) {
+            fprintf(stderr, "procrouter: unknown component class %s\n",
+                    spec.cls.c_str());
+            return false;
+        }
         Managed m;
         m.spec = spec;
-        if (m.spec.protocols.empty())
-            m.spec.protocols = default_protocols(spec.cls);
         components_[spec.cls] = std::move(m);
     }
     for (auto& [cls, m] : components_) {
@@ -366,13 +362,10 @@ bool ProcessRouter::start(const std::vector<ComponentSpec>& components) {
 
         Supervisor::Spec s;
         s.cls = cls;
-        s.protocols = m.spec.protocols;
-        s.probe_interval = opts_.probe_interval;
-        s.backoff_initial = opts_.backoff_initial;
-        s.resync_settle = opts_.resync_settle;
-        s.resync_timeout = opts_.resync_timeout;
-        s.breaker_threshold = opts_.breaker_threshold;
-        s.breaker_window = opts_.breaker_window;
+        s.protocols = find_component(cls)->protocols;
+        s.probe_interval = kProbeInterval;
+        s.backoff_initial = kBackoffInitial;
+        s.resync_settle = kResyncSettle;
         s.restart = [this, cls = cls] {
             auto it = components_.find(cls);
             if (it == components_.end()) return;

@@ -18,7 +18,8 @@
 //   Supervisor's breaker accounting.
 //
 //   ProcessRouter — the deployment driver the Router Manager uses to run
-//   fea/rib/bgp/ospf/rip as real processes. It owns the master Plexus
+//   the component table's classes (fea/rib/bgp/ospf/rip) as real
+//   processes. It owns the master Plexus
 //   (whose Finder, exposed over stcp via bind_finder_xrl, is the
 //   rendezvous point every child bootstraps through), spawns one
 //   xrp_component per component class, and wires the existing
@@ -128,22 +129,24 @@ public:
         std::string cls;  // "fea", "rib", "bgp", "ospf", "rip"
         // Extra argv for the component ("--feed-routes=100000").
         std::vector<std::string> extra_args;
-        // RIB origin protocols for graceful restart; defaulted per class
-        // (bgp -> {ebgp, ibgp}, ospf -> {ospf}, rip -> {rip}).
-        std::vector<std::string> protocols;
     };
 
     struct Options {
         std::string node = "procrouter";
         std::string component_binary;  // default: find_component_binary()
         bool capture_output = true;
-        ev::Duration probe_interval = std::chrono::seconds(2);
-        ev::Duration backoff_initial = std::chrono::milliseconds(200);
-        ev::Duration resync_settle = std::chrono::milliseconds(500);
-        ev::Duration resync_timeout = std::chrono::seconds(60);
-        int breaker_threshold = 4;
-        ev::Duration breaker_window = std::chrono::seconds(60);
     };
+
+    // Supervision timing of the process placement: a respawn costs an
+    // exec and a Finder registration, not a constructor call, so probes
+    // run more often and restarts back off less than the Supervisor's
+    // defaults; READY already means "table re-fed", so resync settles
+    // quickly.
+    static constexpr ev::Duration kProbeInterval = std::chrono::seconds(2);
+    static constexpr ev::Duration kBackoffInitial =
+        std::chrono::milliseconds(200);
+    static constexpr ev::Duration kResyncSettle =
+        std::chrono::milliseconds(500);
 
     // `loop` must be a real-clock loop (children are real processes on
     // real sockets); it must outlive the ProcessRouter.
@@ -218,7 +221,6 @@ private:
                  const ProcessHost::ExitStatus& st);
     void poll_status();  // periodic remote get_status for resynced()
     std::vector<std::string> component_argv(const Managed& m) const;
-    static std::vector<std::string> default_protocols(const std::string& cls);
 
     ev::EventLoop& loop_;
     Options opts_;

@@ -1,72 +1,17 @@
 #include "rtrmgr/rtrmgr.hpp"
 
+#include <cstdio>
+#include <cstdlib>
+#include <set>
+
+#include "bgp/bgp_xrl.hpp"
+
 namespace xrp::rtrmgr {
 
 using net::IPv4;
 using net::IPv4Net;
 using xrl::Xrl;
 using xrl::XrlArgs;
-
-Router::Router(std::string name, ev::EventLoop& loop)
-    : name_(std::move(name)), plexus_(loop) {
-    // Journal events from every component of this router carry its name.
-    plexus_.node = name_;
-    plexus_.faults.set_node(name_);
-    // Assembly order mirrors a real boot: FEA first (it owns the hardware
-    // abstraction), then the RIB (which needs the FEA), then protocols.
-    fea_xr_ = std::make_unique<ipc::XrlRouter>(plexus_, "fea", true);
-    fea_ = std::make_unique<fea::Fea>(plexus_.loop);
-    fea_->set_node(name_);
-    fea::bind_fea_xrl(*fea_, *fea_xr_);
-    fea_xr_->finalize();
-
-    rib_xr_ = std::make_unique<ipc::XrlRouter>(plexus_, "rib", true);
-    rib_ = std::make_unique<rib::Rib>(
-        plexus_.loop, std::make_unique<rib::XrlFeaHandle>(*rib_xr_));
-    rib_->set_node(name_);
-    rib::bind_rib_xrl(*rib_, *rib_xr_);
-    rib_xr_->finalize();
-
-    rip_xr_ = std::make_unique<ipc::XrlRouter>(plexus_, "rip", true);
-    rip_ = std::make_unique<rip::RipProcess>(
-        plexus_.loop, *fea_, rip::RipProcess::Config{},
-        std::make_unique<rip::XrlRibClient>(*rip_xr_));
-    rip_xr_->finalize();
-
-    ospf_xr_ = std::make_unique<ipc::XrlRouter>(plexus_, "ospf", true);
-    ospf_ = std::make_unique<ospf::OspfProcess>(
-        plexus_.loop, *fea_, ospf::OspfProcess::Config{},
-        std::make_unique<ospf::XrlRibClient>(*ospf_xr_));
-    ospf_->set_node(name_);
-    ospf::bind_ospf_xrl(*ospf_, *ospf_xr_);
-    ospf_xr_->finalize();
-
-    mgr_xr_ = std::make_unique<ipc::XrlRouter>(plexus_, "rtrmgr", true);
-    mgr_xr_->finalize();
-
-    supervise_components();
-}
-
-Router::~Router() = default;
-
-bool Router::configure(const std::string& config_text, std::string* error) {
-    auto tree = ConfigTree::parse(config_text, error);
-    if (!tree) return false;
-    return configure(*tree, error);
-}
-
-bool Router::configure(const ConfigTree& tree, std::string* error) {
-    if (!validate(tree, error)) return false;
-    previous_ = running_;
-    if (!apply(tree, error)) return false;
-    running_ = tree;
-    return true;
-}
-
-bool Router::rollback(std::string* error) {
-    ConfigTree target = previous_;
-    return configure(target, error);
-}
 
 namespace {
 
@@ -100,7 +45,132 @@ std::map<std::string, uint32_t> ospf_interfaces(const ConfigTree& t) {
     return out;
 }
 
+bgp::BgpPeer::Config peer_config(const bgp::BgpProcess& local,
+                                 const bgp::BgpProcess& remote) {
+    bgp::BgpPeer::Config c;
+    c.local_id = local.config().bgp_id;
+    c.peer_addr = remote.config().bgp_id;
+    c.local_as = local.config().local_as;
+    c.peer_as = remote.config().local_as;
+    return c;
+}
+
 }  // namespace
+
+Router::Router(std::string name, ev::EventLoop& loop, Placement placement)
+    : name_(std::move(name)), plexus_(loop) {
+    // Journal events from every component of this router carry its name.
+    plexus_.node = name_;
+    plexus_.faults.set_node(name_);
+    parts_.node = name_;
+    if (placement == Placement::kThreads) {
+        if (loop.clock().is_virtual()) {
+            std::fprintf(stderr,
+                         "rtrmgr: thread placement needs a real clock\n");
+            std::abort();
+        }
+        for (const char* cls : {"fea", "rib", "bgp"})
+            threads_[cls] = std::make_unique<ComponentThread>(loop.clock());
+    }
+    // Assembly order mirrors a real boot: FEA first (it owns the hardware
+    // abstraction), then the RIB (which needs the FEA), then protocols.
+    // Component threads are not started yet, so their loops accept
+    // registrations from this thread.
+    for (const char* cls : {"fea", "rib", "rip", "ospf"})
+        build(*find_component(cls));
+    parts_.fea->fib().set_change_callback([this](bool, const fea::FibEntry&) {
+        fib_size_.store(parts_.fea->fib().size(), std::memory_order_relaxed);
+    });
+
+    mgr_xr_ = std::make_unique<ipc::XrlRouter>(plexus_, "rtrmgr", true);
+    mgr_xr_->finalize();
+
+    supervisor_ = std::make_unique<Supervisor>(plexus_, *mgr_xr_);
+    supervise("rip", [this] {
+        // enable_interface sent a whole-table request on restart; any
+        // inbound packet means neighbors answered it. With no interfaces
+        // configured there is nothing to relearn.
+        return rip_interfaces(running_).empty() ||
+               parts_.rip->stats().packets_in > 0;
+    });
+    supervise("ospf", [this] {
+        // Full adjacency means the database exchange completed (we hold
+        // the area's LSAs again); a first SPF run means routes flowed.
+        return ospf_interfaces(running_).empty() ||
+               (parts_.ospf->full_neighbor_count() > 0 &&
+                parts_.ospf->stats().spf_runs > 0);
+    });
+
+    for (auto& [cls, t] : threads_) t->start();
+}
+
+Router::~Router() {
+    // BGP first — it feeds the RIB, which feeds the FEA. Once a thread is
+    // joined, this thread may destroy the objects it hosted.
+    for (const char* cls : {"bgp", "rib", "fea"})
+        if (auto it = threads_.find(cls); it != threads_.end())
+            it->second->stop_and_join();
+}
+
+ComponentThread* Router::thread_for(const std::string& cls) {
+    const ComponentEntry* c = find_component(cls);
+    if (c == nullptr) return nullptr;  // the Router Manager itself
+    auto it = threads_.find(c->uses_fea ? "fea" : cls);
+    return it == threads_.end() ? nullptr : it->second.get();
+}
+
+void Router::run_sync(const std::string& cls,
+                      const std::function<void()>& fn) {
+    if (ComponentThread* t = thread_for(cls))
+        t->run_sync(fn);
+    else
+        fn();
+}
+
+void Router::post(const std::string& cls, std::function<void()> fn) {
+    if (ComponentThread* t = thread_for(cls))
+        t->post(std::move(fn));
+    else
+        plexus_.loop.post(std::move(fn));
+}
+
+void Router::build(const ComponentEntry& c) {
+    std::unique_ptr<ipc::XrlRouter>& xr = xr_[c.cls];
+    if (ComponentThread* t = thread_for(c.cls))
+        xr = std::make_unique<ipc::XrlRouter>(plexus_, t->loop(), c.cls,
+                                              true);
+    else
+        xr = std::make_unique<ipc::XrlRouter>(plexus_, c.cls, true);
+    c.build(xr->loop(), *xr, parts_);
+    xr->finalize();
+}
+
+void Router::kill(const std::string& cls) {
+    const ComponentEntry& c = *find_component(cls);
+    run_sync(cls, [&] {
+        c.destroy(parts_);
+        xr_.erase(cls);
+    });
+}
+
+bool Router::configure(const std::string& config_text, std::string* error) {
+    auto tree = ConfigTree::parse(config_text, error);
+    if (!tree) return false;
+    return configure(*tree, error);
+}
+
+bool Router::configure(const ConfigTree& tree, std::string* error) {
+    if (!validate(tree, error)) return false;
+    previous_ = running_;
+    if (!apply(tree, error)) return false;
+    running_ = tree;
+    return true;
+}
+
+bool Router::rollback(std::string* error) {
+    ConfigTree target = previous_;
+    return configure(target, error);
+}
 
 bool Router::validate(const ConfigTree& tree, std::string* error) const {
     // Crash-loop breaker surfacing: a component the Supervisor gave up on
@@ -183,11 +253,12 @@ bool Router::validate(const ConfigTree& tree, std::string* error) const {
                         return fail(error, "bgp: bad or missing local-as");
                     if (!id || !IPv4::parse(*id))
                         return fail(error, "bgp: bad or missing bgp-id");
-                    if (bgp_ != nullptr) {
-                        // The core BGP identity is fixed at creation.
+                    if (supervisor_->supervising("bgp")) {
+                        // The core BGP identity is fixed at creation
+                        // (and kept across restarts).
                         if (static_cast<bgp::As>(std::atoi(as->c_str())) !=
-                                bgp_->config().local_as ||
-                            IPv4::must_parse(*id) != bgp_->config().bgp_id)
+                                parts_.bgp_config.local_as ||
+                            IPv4::must_parse(*id) != parts_.bgp_config.bgp_id)
                             return fail(error,
                                         "bgp: local-as/bgp-id cannot change "
                                         "at runtime");
@@ -215,14 +286,20 @@ bool Router::apply(const ConfigTree& tree, std::string* error) {
     // ---- interfaces (additive) ----------------------------------------
     if (const ConfigNode* ifs = tree.find("interfaces")) {
         for (const ConfigNode& itf : ifs->children) {
-            if (fea_->interfaces().find(itf.name) != nullptr) continue;
             IPv4Net addr = IPv4Net::must_parse(*itf.leaf_value("address"));
             // leaf_value validated; address keeps host bits via raw parse.
             size_t slash = itf.leaf_value("address")->find('/');
             IPv4 host = IPv4::must_parse(
                 itf.leaf_value("address")->substr(0, slash));
-            fea_->interfaces().add_interface(itf.name, host,
-                                             addr.prefix_len());
+            bool added = false;
+            run_sync("fea", [&] {
+                if (parts_.fea->interfaces().find(itf.name) != nullptr)
+                    return;
+                parts_.fea->interfaces().add_interface(itf.name, host,
+                                                       addr.prefix_len());
+                added = true;
+            });
+            if (!added) continue;
             // A configured interface originates its connected route; this
             // is what makes directly-attached BGP nexthops resolvable.
             XrlArgs args;
@@ -274,239 +351,175 @@ bool Router::apply(const ConfigTree& tree, std::string* error) {
         }
     }
 
-    // ---- RIP interfaces (diffed) ----------------------------------------
-    auto old_rip = rip_interfaces(running_);
-    auto new_rip = rip_interfaces(tree);
-    for (const std::string& ifname : old_rip)
-        if (new_rip.count(ifname) == 0) rip_->disable_interface(ifname);
-    for (const std::string& ifname : new_rip)
-        if (old_rip.count(ifname) == 0) rip_->enable_interface(ifname);
-
-    // ---- OSPF interfaces (diffed; costs applied in place) ----------------
-    if (const ConfigNode* o = tree.find("protocols/ospf")) {
-        if (auto rid = o->leaf_value("router-id"))
-            if (!ospf_->set_router_id(IPv4::must_parse(*rid)))
-                return fail(error,
-                            "ospf: router-id cannot change while interfaces "
-                            "are enabled");
-        // ECMP width; changing it reschedules SPF with the new clamp.
-        if (auto mp = o->leaf_value("max-paths"))
-            ospf_->set_max_paths(
-                static_cast<uint32_t>(std::atoi(mp->c_str())));
-    }
-    auto old_ospf = ospf_interfaces(running_);
-    auto new_ospf = ospf_interfaces(tree);
-    for (const auto& [ifname, cost] : old_ospf)
-        if (new_ospf.find(ifname) == new_ospf.end())
-            ospf_->disable_interface(ifname);
-    for (const auto& [ifname, cost] : new_ospf) {
-        auto it = old_ospf.find(ifname);
-        if (it == old_ospf.end())
-            ospf_->enable_interface(ifname, cost);
-        else if (it->second != cost)
-            ospf_->set_interface_cost(ifname, cost);
-    }
-
-    // ---- BGP (created once) ----------------------------------------------
-    if (const ConfigNode* b = tree.find("protocols/bgp")) {
-        if (bgp_ == nullptr) {
-            bgp::BgpProcess::Config cfg;
-            cfg.local_as = static_cast<bgp::As>(
-                std::atoi(b->leaf_value("local-as")->c_str()));
-            cfg.bgp_id = IPv4::must_parse(*b->leaf_value("bgp-id"));
-            if (b->find("damping") != nullptr) cfg.enable_damping = true;
-            if (b->find("multipath") != nullptr) cfg.multipath = true;
-            bgp_xr_ = std::make_unique<ipc::XrlRouter>(plexus_, "bgp", true);
-            bgp_ = std::make_unique<bgp::BgpProcess>(
-                plexus_.loop, cfg,
-                std::make_unique<bgp::XrlRibHandle>(*bgp_xr_));
-            bgp::bind_bgp_xrl(*bgp_, *bgp_xr_);
-            bgp_xr_->finalize();
-        }
-        // network statements: originate into BGP.
-        for (const ConfigNode& c : b->children)
-            if (c.name == "network" && c.args.size() == 1) {
-                auto net = IPv4Net::parse(c.args[0]);
-                if (net) bgp_->originate(*net, bgp_->config().bgp_id);
-            }
-        supervise_bgp();
-    }
+    apply_rip(running_, tree);
+    if (!apply_ospf(running_, tree, error)) return false;
+    apply_bgp(tree);
 
     // ---- graceful-restart grace periods ---------------------------------
     // `grace-period <seconds>;` in a protocol section sets how long the
     // RIB preserves that protocol's routes after its component dies.
-    auto apply_grace = [&](const char* section,
-                           std::initializer_list<const char*> protocols) {
-        const ConfigNode* n =
-            tree.find(std::string("protocols/") + section);
-        if (n == nullptr) return;
+    for (const char* section : {"rip", "ospf", "bgp"}) {
+        const ConfigNode* n = tree.find(std::string("protocols/") + section);
+        if (n == nullptr) continue;
         auto g = n->leaf_value("grace-period");
-        if (!g) return;
-        for (const char* proto : protocols) {
+        if (!g) continue;
+        for (const std::string& proto : find_component(section)->protocols) {
             XrlArgs args;
-            args.add("protocol", std::string(proto))
+            args.add("protocol", proto)
                 .add("seconds",
                      static_cast<uint32_t>(std::atoi(g->c_str())));
             mgr_xr_->call_oneway(
                 Xrl::generic("rib", "rib", "1.0", "set_grace_period", args),
                 ipc::CallOptions::reliable());
         }
-    };
-    apply_grace("rip", {"rip"});
-    apply_grace("ospf", {"ospf"});
-    apply_grace("bgp", {"ebgp", "ibgp"});
+    }
     return true;
+}
+
+void Router::apply_rip(const ConfigTree& from, const ConfigTree& to) {
+    // Interfaces diffed; each enable sends a whole-table request — RIP's
+    // natural resync after a restart.
+    auto old_rip = rip_interfaces(from);
+    auto new_rip = rip_interfaces(to);
+    run_sync("rip", [&] {
+        for (const std::string& ifname : old_rip)
+            if (new_rip.count(ifname) == 0)
+                parts_.rip->disable_interface(ifname);
+        for (const std::string& ifname : new_rip)
+            if (old_rip.count(ifname) == 0)
+                parts_.rip->enable_interface(ifname);
+    });
+}
+
+bool Router::apply_ospf(const ConfigTree& from, const ConfigTree& to,
+                        std::string* error) {
+    // Interfaces diffed, costs applied in place. After a restart,
+    // re-enabling interfaces restarts hellos; adjacency re-formation and
+    // database exchange re-flood the area's LSAs into the fresh Lsdb
+    // (receiving our own pre-restart LSAs bumps our sequence numbers).
+    bool ok = true;
+    run_sync("ospf", [&] {
+        ospf::OspfProcess& ospf = *parts_.ospf;
+        if (const ConfigNode* o = to.find("protocols/ospf")) {
+            if (auto rid = o->leaf_value("router-id"))
+                if (!ospf.set_router_id(IPv4::must_parse(*rid))) {
+                    ok = fail(error,
+                              "ospf: router-id cannot change while "
+                              "interfaces are enabled");
+                    return;
+                }
+            // ECMP width; changing it reschedules SPF with the new clamp.
+            if (auto mp = o->leaf_value("max-paths"))
+                ospf.set_max_paths(
+                    static_cast<uint32_t>(std::atoi(mp->c_str())));
+        }
+        auto old_ospf = ospf_interfaces(from);
+        auto new_ospf = ospf_interfaces(to);
+        for (const auto& [ifname, cost] : old_ospf)
+            if (new_ospf.find(ifname) == new_ospf.end())
+                ospf.disable_interface(ifname);
+        for (const auto& [ifname, cost] : new_ospf) {
+            auto it = old_ospf.find(ifname);
+            if (it == old_ospf.end())
+                ospf.enable_interface(ifname, cost);
+            else if (it->second != cost)
+                ospf.set_interface_cost(ifname, cost);
+        }
+    });
+    return ok;
+}
+
+void Router::apply_bgp(const ConfigTree& tree) {
+    const ConfigNode* b = tree.find("protocols/bgp");
+    if (b == nullptr) return;
+    run_sync("bgp", [&] {
+        if (parts_.bgp == nullptr) {  // created once
+            bgp::BgpProcess::Config& cfg = parts_.bgp_config;
+            cfg.local_as = static_cast<bgp::As>(
+                std::atoi(b->leaf_value("local-as")->c_str()));
+            cfg.bgp_id = IPv4::must_parse(*b->leaf_value("bgp-id"));
+            if (b->find("damping") != nullptr) cfg.enable_damping = true;
+            if (b->find("multipath") != nullptr) cfg.multipath = true;
+            build(*find_component("bgp"));
+        }
+        // network statements: originate into BGP.
+        for (const ConfigNode& c : b->children)
+            if (c.name == "network" && c.args.size() == 1)
+                if (auto net = IPv4Net::parse(c.args[0]))
+                    parts_.bgp->originate(*net, parts_.bgp_config.bgp_id);
+    });
+    if (!supervisor_->supervising("bgp"))
+        supervise("bgp", [this] {
+            // Established on every configured session: the peers' table
+            // dumps are queued/flowing; the supervisor's settle delay lets
+            // them drain before the RIB sweeps.
+            for (const BgpLink& l : bgp_links_) {
+                bgp::BgpPeer* p = parts_.bgp->peer_session(l.local_id);
+                if (p == nullptr || !p->established()) return false;
+            }
+            return true;
+        });
 }
 
 void Router::connect_bgp(Router& a, Router& b, ev::Duration latency) {
     if (a.bgp() == nullptr || b.bgp() == nullptr) return;
     auto [ta, tb] = bgp::PipeTransport::make_pair(a.plexus_.loop,
                                                   b.plexus_.loop, latency);
-    bgp::BgpPeer::Config ca;
-    ca.local_id = a.bgp()->config().bgp_id;
-    ca.peer_addr = b.bgp()->config().bgp_id;
-    ca.local_as = a.bgp()->config().local_as;
-    ca.peer_as = b.bgp()->config().local_as;
-    bgp::BgpPeer::Config cb;
-    cb.local_id = b.bgp()->config().bgp_id;
-    cb.peer_addr = a.bgp()->config().bgp_id;
-    cb.local_as = b.bgp()->config().local_as;
-    cb.peer_as = a.bgp()->config().local_as;
-    int ida = a.bgp()->add_peer(ca, std::move(ta));
-    int idb = b.bgp()->add_peer(cb, std::move(tb));
+    int ida = a.bgp()->add_peer(peer_config(*a.bgp(), *b.bgp()),
+                                std::move(ta));
+    int idb = b.bgp()->add_peer(peer_config(*b.bgp(), *a.bgp()),
+                                std::move(tb));
     // Remember the session on both sides so a BgpProcess restart can
-    // rewire it (see restart_bgp).
+    // rewire it (see rewire_bgp_sessions).
     a.bgp_links_.push_back({&b, latency, ida, idb});
     b.bgp_links_.push_back({&a, latency, idb, ida});
 }
 
 // ---- component supervision -----------------------------------------------
 
-void Router::supervise_components() {
-    supervisor_ = std::make_unique<Supervisor>(plexus_, *mgr_xr_);
-
-    Supervisor::Spec rip_spec;
-    rip_spec.cls = "rip";
-    rip_spec.protocols = {"rip"};
-    rip_spec.restart = [this] { restart_rip(); };
-    rip_spec.resynced = [this] {
-        // enable_interface sent a whole-table request on restart; any
-        // inbound packet means neighbors answered it. With no interfaces
-        // configured there is nothing to relearn.
-        return rip_interfaces(running_).empty() ||
-               rip_->stats().packets_in > 0;
-    };
-    supervisor_->supervise(std::move(rip_spec));
-
-    Supervisor::Spec ospf_spec;
-    ospf_spec.cls = "ospf";
-    ospf_spec.protocols = {"ospf"};
-    ospf_spec.restart = [this] { restart_ospf(); };
-    ospf_spec.resynced = [this] {
-        // Full adjacency means the database exchange completed (we hold
-        // the area's LSAs again); a first SPF run means routes flowed.
-        return ospf_interfaces(running_).empty() ||
-               (ospf_->full_neighbor_count() > 0 &&
-                ospf_->stats().spf_runs > 0);
-    };
-    supervisor_->supervise(std::move(ospf_spec));
-}
-
-void Router::supervise_bgp() {
-    if (supervisor_ == nullptr || supervisor_->supervising("bgp")) return;
+void Router::supervise(const std::string& cls,
+                       std::function<bool()> resynced) {
     Supervisor::Spec spec;
-    spec.cls = "bgp";
-    spec.protocols = {"ebgp", "ibgp"};
-    spec.restart = [this] { restart_bgp(); };
-    spec.resynced = [this] {
-        // Established on every configured session: the peers' table dumps
-        // are queued/flowing; the supervisor's settle delay lets them
-        // drain before the RIB sweeps.
-        for (const BgpLink& l : bgp_links_) {
-            bgp::BgpPeer* p = bgp_->peer_session(l.local_id);
-            if (p == nullptr || !p->established()) return false;
-        }
-        return true;
+    spec.cls = cls;
+    spec.protocols = find_component(cls)->protocols;
+    spec.restart = [this, cls] { restart(cls); };
+    spec.resynced = [this, cls, resynced = std::move(resynced)] {
+        bool done = false;
+        run_sync(cls, [&] { done = resynced(); });
+        return done;
     };
     supervisor_->supervise(std::move(spec));
 }
 
-void Router::restart_rip() {
-    // The process references its XrlRouter (RIB client): destroy it
-    // first. Destroying the XrlRouter unregisters the dead instance so
-    // the fresh one can take the sole-class slot.
-    rip_.reset();
-    rip_xr_.reset();
-    rip_xr_ = std::make_unique<ipc::XrlRouter>(plexus_, "rip", true);
-    rip_ = std::make_unique<rip::RipProcess>(
-        plexus_.loop, *fea_, rip::RipProcess::Config{},
-        std::make_unique<rip::XrlRibClient>(*rip_xr_));
-    rip_xr_->finalize();
-    // Re-apply the running config; each enable sends a whole-table
-    // request — RIP's natural resync.
-    for (const std::string& ifname : rip_interfaces(running_))
-        rip_->enable_interface(ifname);
-}
-
-void Router::restart_ospf() {
-    ospf_.reset();
-    ospf_xr_.reset();
-    ospf_xr_ = std::make_unique<ipc::XrlRouter>(plexus_, "ospf", true);
-    ospf_ = std::make_unique<ospf::OspfProcess>(
-        plexus_.loop, *fea_, ospf::OspfProcess::Config{},
-        std::make_unique<ospf::XrlRibClient>(*ospf_xr_));
-    ospf_->set_node(name_);
-    ospf::bind_ospf_xrl(*ospf_, *ospf_xr_);
-    ospf_xr_->finalize();
-    if (const ConfigNode* o = running_.find("protocols/ospf")) {
-        if (auto rid = o->leaf_value("router-id"))
-            ospf_->set_router_id(IPv4::must_parse(*rid));
-        if (auto mp = o->leaf_value("max-paths"))
-            ospf_->set_max_paths(
-                static_cast<uint32_t>(std::atoi(mp->c_str())));
+void Router::restart(const std::string& cls) {
+    const ComponentEntry& c = *find_component(cls);
+    run_sync(cls, [&] {
+        c.destroy(parts_);
+        xr_.erase(cls);
+        build(c);
+    });
+    // Re-apply the running config: against an empty tree, the section's
+    // diff is everything it says.
+    if (cls == "rip") apply_rip(ConfigTree(), running_);
+    if (cls == "ospf") apply_ospf(ConfigTree(), running_, nullptr);
+    if (cls == "bgp") {
+        apply_bgp(running_);
+        rewire_bgp_sessions();
     }
-    // Re-enabling interfaces restarts hellos; adjacency re-formation and
-    // database exchange re-flood the area's LSAs into the fresh Lsdb
-    // (receiving our own pre-restart LSAs bumps our sequence numbers).
-    for (const auto& [ifname, cost] : ospf_interfaces(running_))
-        ospf_->enable_interface(ifname, cost);
 }
 
-void Router::restart_bgp() {
-    if (bgp_ == nullptr) return;
-    bgp::BgpProcess::Config cfg = bgp_->config();
-    bgp_.reset();
-    bgp_xr_.reset();
-    bgp_xr_ = std::make_unique<ipc::XrlRouter>(plexus_, "bgp", true);
-    bgp_ = std::make_unique<bgp::BgpProcess>(
-        plexus_.loop, cfg, std::make_unique<bgp::XrlRibHandle>(*bgp_xr_));
-    bgp::bind_bgp_xrl(*bgp_, *bgp_xr_);
-    bgp_xr_->finalize();
-    // Re-originate configured networks.
-    if (const ConfigNode* b = running_.find("protocols/bgp"))
-        for (const ConfigNode& c : b->children)
-            if (c.name == "network" && c.args.size() == 1)
-                if (auto net = IPv4Net::parse(c.args[0]))
-                    bgp_->originate(*net, bgp_->config().bgp_id);
-    // Rewire every remembered session: the peer drops its half-dead end,
-    // both sides get fresh pipes, and establishment triggers the peer's
-    // full table dump — BGP's resync.
+void Router::rewire_bgp_sessions() {
+    // The peer drops its half-dead end, both sides get fresh pipes, and
+    // establishment triggers the peer's full table dump — BGP's resync.
     for (BgpLink& l : bgp_links_) {
-        l.peer->bgp()->remove_peer(l.remote_id);
+        bgp::BgpProcess& peer = *l.peer->bgp();
+        peer.remove_peer(l.remote_id);
         auto [tl, tr] = bgp::PipeTransport::make_pair(
             plexus_.loop, l.peer->plexus_.loop, l.latency);
-        bgp::BgpPeer::Config cl;
-        cl.local_id = bgp_->config().bgp_id;
-        cl.peer_addr = l.peer->bgp()->config().bgp_id;
-        cl.local_as = bgp_->config().local_as;
-        cl.peer_as = l.peer->bgp()->config().local_as;
-        bgp::BgpPeer::Config cr;
-        cr.local_id = l.peer->bgp()->config().bgp_id;
-        cr.peer_addr = bgp_->config().bgp_id;
-        cr.local_as = l.peer->bgp()->config().local_as;
-        cr.peer_as = bgp_->config().local_as;
-        l.local_id = bgp_->add_peer(cl, std::move(tl));
-        l.remote_id = l.peer->bgp()->add_peer(cr, std::move(tr));
+        l.local_id = parts_.bgp->add_peer(peer_config(*parts_.bgp, peer),
+                                          std::move(tl));
+        l.remote_id = peer.add_peer(peer_config(peer, *parts_.bgp),
+                                    std::move(tr));
         for (BgpLink& rl : l.peer->bgp_links_)
             if (rl.peer == this) {
                 rl.local_id = l.remote_id;

@@ -168,7 +168,7 @@ private:
     };
 
     // All supervisor state lives on the manager's home loop (== the Plexus
-    // loop today; the threaded router gives the manager its own).
+    // loop: the Router Manager's loop in every placement).
     ev::EventLoop& loop() { return xr_.loop(); }
 
     // `crashed` distinguishes a real crash (counts toward the breaker)

@@ -273,7 +273,6 @@ TEST(Upgrade, HitlessBinaryUpgradePreservesEveryRoute) {
 
 TEST(Supervisor, CleanExitsNeverTripTheCrashLoopBreaker) {
     ProcessRouter::Options opts;
-    opts.breaker_threshold = 4;  // 4 CRASHES in the window trip it
     ProcRouterFixture f(0, opts);
     ASSERT_TRUE(f.ok);
 

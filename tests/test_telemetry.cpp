@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "ipc/router.hpp"
@@ -352,6 +353,40 @@ TEST(Trace, QueuedOnewayCallKeepsCallersTrace) {
         EXPECT_EQ(sends, 1) << Tracer::global().format();
         EXPECT_EQ(dispatches, 1) << Tracer::global().format();
     }
+}
+
+TEST(Trace, ResponseCallbackRunsUnderTheCallersTrace) {
+    // An stcp reply arrives in a later loop iteration, after the code that
+    // made the call has returned. Its callback continues that code's work
+    // (BGP's NexthopResolver re-emits a waiting route from one), so it
+    // must run under the call's trace.
+    TracingOn tracing;
+    ev::RealClock clock;
+    ipc::Plexus plexus(clock);
+    ipc::XrlRouter svc(plexus, "svc", true);
+    svc.add_handler("noop/1.0/noop", [](const XrlArgs&, XrlArgs&) {
+        return XrlError::okay();
+    });
+    svc.enable_tcp();
+    ASSERT_TRUE(svc.finalize());
+    ipc::XrlRouter client(plexus, "cli");
+    client.finalize();
+    client.set_preferred_family("stcp");
+
+    const TraceContext caller = Tracer::global().begin_trace();
+    std::optional<TraceContext> seen;
+    {
+        Tracer::Scope scope(caller);
+        client.call(Xrl::generic("svc", "noop", "1.0", "noop", XrlArgs()),
+                    ipc::CallOptions::reliable(),
+                    [&](const XrlError& err, const XrlArgs&) {
+                        EXPECT_TRUE(err.ok()) << err.str();
+                        seen = Tracer::current();
+                    });
+    }
+    ASSERT_TRUE(plexus.loop.run_until([&] { return seen.has_value(); }, 5s));
+    EXPECT_EQ(seen->trace_id, caller.trace_id);
+    EXPECT_EQ(seen->hop, caller.hop);
 }
 
 TEST(Trace, DisabledTracingRecordsNothing) {

@@ -1,8 +1,8 @@
 // Threading-model tests: the EventLoop cross-thread seam (post/wake/
 // ownership), ComponentThread lifecycle, multi-producer journal safety,
-// InternTable single-owner affinity, and the ThreadedRouter — FEA, RIB,
-// and BGP on their own threads, joined by xring, supervised across the
-// thread boundary.
+// InternTable single-owner affinity, and rtrmgr::Router in both
+// placements — one loop, or FEA, RIB and BGP on their own threads joined
+// by xring and supervised across the thread boundary.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,13 +12,13 @@
 
 #include "net/intern.hpp"
 #include "rtrmgr/component_thread.hpp"
-#include "rtrmgr/threaded.hpp"
+#include "rtrmgr/rtrmgr.hpp"
 #include "telemetry/journal.hpp"
 
 using namespace xrp;
 using namespace std::chrono_literals;
 using rtrmgr::ComponentThread;
-using rtrmgr::ThreadedRouter;
+using rtrmgr::Router;
 
 TEST(EventLoopThreads, PostWakesBlockedLoop) {
     // The loop parks in poll(2) with nothing due; post() from another
@@ -231,70 +231,82 @@ stage::Route4 test_route(uint32_t i) {
 }
 }  // namespace
 
-TEST(ThreadedRouterTest, RoutesFlowAcrossThreeThreadsToTheFib) {
-    // BGP (its own thread) pushes a batch to the RIB (its own thread),
-    // which downloads to the FEA (its own thread) — every hop over
-    // xring. The test thread watches the atomic FIB mirror.
-    ev::RealClock clock;
-    ThreadedRouter r(clock);
-    r.rib().add_route("static", net::IPv4Net::must_parse("192.0.2.0/24"),
-                      net::IPv4::must_parse("192.0.2.250"), 1);
-    r.start();
+namespace xrp::rtrmgr {
+// Names the test cases ".../loop" and ".../threads".
+void PrintTo(Router::Placement p, std::ostream* os) {
+    *os << (p == Router::Placement::kLoop ? "loop" : "threads");
+}
+}  // namespace xrp::rtrmgr
 
+// The router's two placements run the same bodies: kLoop puts every
+// component on the test's loop; kThreads puts FEA, RIB and BGP each on its
+// own thread, every hop over xring. The test thread drives the Router
+// Manager's loop and watches the FIB mirror.
+class RouterPlacement
+    : public ::testing::TestWithParam<Router::Placement> {
+protected:
+    RouterPlacement() : r_("r1", loop_, GetParam()) {
+        std::string err;
+        EXPECT_TRUE(r_.configure(
+            "protocols { bgp { local-as 1777; bgp-id 192.0.2.250; } }", &err))
+            << err;
+        r_.run_sync("rib", [this] {
+            r_.rib().add_route("static",
+                               net::IPv4Net::must_parse("192.0.2.0/24"),
+                               net::IPv4::must_parse("192.0.2.250"), 1);
+        });
+    }
+
+    // Pushes routes 0..n-1 into the RIB from BGP's loop.
+    void push_from_bgp(uint32_t n) {
+        r_.post("bgp", [this, n] {
+            stage::RouteBatch4 b;
+            b.reserve(n);
+            for (uint32_t i = 0; i < n; ++i) b.add(test_route(i));
+            r_.bgp()->rib_handle().push_batch(std::move(b));
+        });
+    }
+
+    bool await_fib(size_t n) {
+        return loop_.run_until([&] { return r_.fib_size() >= n; }, 30s);
+    }
+
+    ev::RealClock clock_;
+    ev::EventLoop loop_{clock_};
+    Router r_;
+};
+
+TEST_P(RouterPlacement, RoutesFlowFromBgpThroughTheRibToTheFib) {
     constexpr uint32_t kRoutes = 512;
-    r.post_bgp([&r] {
-        stage::RouteBatch4 b;
-        b.reserve(kRoutes);
-        for (uint32_t i = 0; i < kRoutes; ++i) b.add(test_route(i));
-        r.rib_handle()->push_batch(std::move(b));
-    });
-
-    const auto deadline = std::chrono::steady_clock::now() + 30s;
-    while (r.fib_size() < kRoutes + 1 &&
-           std::chrono::steady_clock::now() < deadline)
-        std::this_thread::sleep_for(1ms);
-    EXPECT_EQ(r.fib_size(), kRoutes + 1u);  // + the static route
-
-    r.stop();
-    EXPECT_EQ(r.fea().fib().size(), kRoutes + 1u);
+    push_from_bgp(kRoutes);
+    await_fib(kRoutes + 1);
+    EXPECT_EQ(r_.fib_size(), kRoutes + 1u);  // + the static route
+    size_t fib = 0;
+    r_.run_sync("fea", [&] { fib = r_.fea().fib().size(); });
+    EXPECT_EQ(fib, kRoutes + 1u);
 }
 
-TEST(ThreadedRouterTest, SupervisorRestartsBgpAcrossThreads) {
-    // Kill the BGP component (objects destroyed on its thread). The
-    // Finder death notification crosses to the manager loop, which
-    // restarts BGP — the rebuild itself runs back on the BGP thread.
-    ev::RealClock clock;
-    ThreadedRouter r(clock);
-    r.rib().add_route("static", net::IPv4Net::must_parse("192.0.2.0/24"),
-                      net::IPv4::must_parse("192.0.2.250"), 1);
-    rtrmgr::Supervisor::Spec spec;
-    spec.probe_interval = 200ms;
-    spec.backoff_initial = 50ms;
-    spec.resync_settle = 50ms;
-    r.supervise_bgp(spec);
-    r.start();
-    ASSERT_EQ(r.bgp_generation(), 1u);
-
-    r.kill_bgp();
+TEST_P(RouterPlacement, SupervisorRestartsKilledBgp) {
+    // Kill the BGP component (objects destroyed on its own loop). The
+    // Finder death notification reaches the manager loop, which restarts
+    // BGP — the rebuild itself runs back on BGP's loop.
+    r_.kill("bgp");
     // Drive the manager loop: death handling, backoff, restart, resync.
-    ASSERT_TRUE(r.mgr_loop().run_until(
+    ASSERT_TRUE(loop_.run_until(
         [&] {
-            return r.bgp_generation() >= 2 &&
-                   r.supervisor().state("bgp") ==
+            return r_.supervisor().restart_count("bgp") >= 1 &&
+                   r_.supervisor().state("bgp") ==
                        rtrmgr::Supervisor::State::kAlive;
         },
         30s));
-    EXPECT_EQ(r.supervisor().restart_count("bgp"), 1u);
+    EXPECT_EQ(r_.supervisor().restart_count("bgp"), 1u);
 
     // The revived component is functional: a push lands in the FIB.
-    r.post_bgp([&r] {
-        stage::RouteBatch4 b;
-        for (uint32_t i = 0; i < 16; ++i) b.add(test_route(i));
-        r.rib_handle()->push_batch(std::move(b));
-    });
-    const auto deadline = std::chrono::steady_clock::now() + 30s;
-    while (r.fib_size() < 17 && std::chrono::steady_clock::now() < deadline)
-        std::this_thread::sleep_for(1ms);
-    EXPECT_GE(r.fib_size(), 17u);  // 16 pushed + the static route
-    r.stop();
+    push_from_bgp(16);
+    await_fib(17);
+    EXPECT_GE(r_.fib_size(), 17u);  // 16 pushed + the static route
 }
+
+INSTANTIATE_TEST_SUITE_P(Placements, RouterPlacement,
+                         ::testing::Values(Router::Placement::kLoop,
+                                           Router::Placement::kThreads));
