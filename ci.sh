@@ -74,6 +74,19 @@ for b in build/bench/bench_*; do
 done
 echo "-- build/bench/scenario_runner --smoke"
 XRP_BENCH_DIR="$BENCH_OUT" build/bench/scenario_runner --smoke >/dev/null
+# Virtual time makes the cell's every window and count exact, so they are
+# pinned: a change to timer order, defer() or the loop's wait that moves
+# simulated event order fails here. cpu_ms and max_rss_kb are the host's
+# and are not pinned.
+echo "-- scenario smoke vs bench/scenario_smoke_pinned.json"
+python3 - "$BENCH_OUT"/BENCH_scenarios.json bench/scenario_smoke_pinned.json <<'EOF'
+import json, sys
+row = json.load(open(sys.argv[1]))["rows"][0]
+want = json.load(open(sys.argv[2]))
+diff = {k: (row.get(k), v) for k, v in want.items() if row.get(k) != v}
+if diff:
+    sys.exit(f"scenario smoke (got, pinned) differs: {diff}")
+EOF
 # The ECMP member-kill chaos cell is a hard gate, not just a smoke run:
 # the binary exits non-zero unless killing one member of the 4-way group
 # moves exactly that member's flow share (zero survivor flinch) and

@@ -20,7 +20,6 @@ struct EvMetrics {
     telemetry::Counter* timers_fired;
     telemetry::Counter* fd_dispatches;
     telemetry::Counter* task_slices;
-    telemetry::Gauge* deferred_depth;
     telemetry::Histogram* timer_drift;   // fire time - deadline
     telemetry::Histogram* cb_timer;      // time spent inside timer callbacks
     telemetry::Histogram* cb_fd;         // time spent inside fd callbacks
@@ -33,7 +32,6 @@ struct EvMetrics {
             x.timers_fired = r.counter("ev_timers_fired_total");
             x.fd_dispatches = r.counter("ev_fd_dispatches_total");
             x.task_slices = r.counter("ev_task_slices_total");
-            x.deferred_depth = r.gauge("ev_deferred_depth");
             x.timer_drift = r.histogram("ev_timer_drift_ns");
             x.cb_timer = r.histogram("ev_dispatch_ns{source=\"timer\"}");
             x.cb_fd = r.histogram("ev_dispatch_ns{source=\"fd\"}");
@@ -136,12 +134,12 @@ bool EventLoop::drain_posted() {
     return !batch.empty();
 }
 
-Timer EventLoop::schedule(TimerSP state) {
+EventLoop::TimerSP EventLoop::schedule(TimerSP state) {
     check_owner("set_timer");
     state->seq = ++timer_seq_;
     state->scheduled = true;
     heap_push(state);
-    return Timer(std::move(state));
+    return state;
 }
 
 void EventLoop::heap_push(TimerSP s) {
@@ -182,6 +180,11 @@ Timer EventLoop::set_timer(Duration delay, std::function<void()> cb) {
 }
 
 Timer EventLoop::set_timer_at(TimePoint when, std::function<void()> cb) {
+    return Timer(schedule_one_shot(when, std::move(cb)));
+}
+
+EventLoop::TimerSP EventLoop::schedule_one_shot(TimePoint when,
+                                                std::function<void()> cb) {
     auto s = std::make_shared<detail::TimerState>();
     s->expiry = when;
     s->cb = std::move(cb);
@@ -194,19 +197,17 @@ Timer EventLoop::set_periodic(Duration period, std::function<bool()> cb) {
     s->expiry = now() + period;
     s->period = period;
     s->periodic_cb = std::move(cb);
-    return schedule(std::move(s));
+    return Timer(schedule(std::move(s)));
 }
 
+// No handle: the heap entry is the only reference, so a deferred callback
+// cannot be cancelled and is released once it has run.
 void EventLoop::defer(std::function<void()> cb) {
-    deferred_owned_.push_back(set_timer(Duration::zero(), std::move(cb)));
-    EvMetrics::get().deferred_depth->set(
-        static_cast<int64_t>(deferred_owned_.size()));
+    schedule_one_shot(now(), std::move(cb));
 }
 
 void EventLoop::defer_after(Duration delay, std::function<void()> cb) {
-    deferred_owned_.push_back(set_timer(delay, std::move(cb)));
-    EvMetrics::get().deferred_depth->set(
-        static_cast<int64_t>(deferred_owned_.size()));
+    schedule_one_shot(now() + delay, std::move(cb));
 }
 
 void EventLoop::add_reader(int fd, std::function<void()> cb) {
@@ -281,17 +282,10 @@ bool EventLoop::fire_due_timers() {
             if (timed) m.cb_timer->observe_always(clock_.now() - c0);
         }
     }
-    if (!deferred_owned_.empty()) {
-        // Drop handles of already-fired defer() timers.
-        std::erase_if(deferred_owned_,
-                      [](const Timer& t2) { return !t2.scheduled(); });
-        m.deferred_depth->set(
-            static_cast<int64_t>(deferred_owned_.size()));
-    }
     return any;
 }
 
-bool EventLoop::dispatch_fds(int timeout_ms) {
+bool EventLoop::dispatch_fds(int64_t timeout_ns) {
     if (readers_.empty() && writers_.empty() && wake_fd_ < 0) return false;
     // Exactly one pollfd per fd, with merged interest bits: duplicate fd
     // entries confuse some poll(2) interposition layers (which also
@@ -320,7 +314,9 @@ bool EventLoop::dispatch_fds(int timeout_ms) {
             }
         }
     }
-    int rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
+    const timespec ts{static_cast<time_t>(timeout_ns / 1'000'000'000),
+                      static_cast<long>(timeout_ns % 1'000'000'000)};
+    int rc = ::ppoll(pfds.data(), pfds.size(), &ts, nullptr);
     if (rc <= 0) return false;
     bool any = false;
     for (const pollfd& p : pfds) {
@@ -391,7 +387,7 @@ bool EventLoop::run_one_task_slice() {
     return true;
 }
 
-int EventLoop::poll_timeout_ms(bool may_block) {
+int64_t EventLoop::poll_timeout_ns(bool may_block) {
     if (!may_block || clock_.is_virtual()) return 0;
     if (background_task_count() > 0) return 0;
     if (posted_pending_.load(std::memory_order_acquire)) return 0;
@@ -402,15 +398,16 @@ int EventLoop::poll_timeout_ms(bool may_block) {
     if (advance_cap_ != TimePoint::max())
         d = std::min(d, advance_cap_ - now());
     if (d <= Duration::zero()) return 0;
-    auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(d).count();
-    return static_cast<int>(std::min<long long>(ms + 1, 100));
+    // Duration is nanoseconds, so the wait ends at the deadline itself and
+    // the next turn finds the timer due instead of waiting again.
+    return d.count();
 }
 
 bool EventLoop::run_once(bool may_block) {
     claim_owner();
     bool any = drain_posted();
     any |= fire_due_timers();
-    any |= dispatch_fds(any ? 0 : poll_timeout_ms(may_block));
+    any |= dispatch_fds(any ? 0 : poll_timeout_ns(may_block));
     if (!any) any = run_one_task_slice();
     if (!any && clock_.is_virtual() && !heap_.empty()) {
         // Nothing runnable now: jump virtual time to the next deadline,

@@ -2,7 +2,7 @@
 //
 // Three event sources, strictly prioritized:
 //   1. expired timers — fired in deadline order;
-//   2. ready file descriptors — dispatched via poll(2);
+//   2. ready file descriptors — dispatched via ppoll(2);
 //   3. background tasks — one cooperative slice per idle loop turn,
 //      weighted round-robin.
 //
@@ -10,12 +10,20 @@
 // clock it never blocks at all: when nothing is runnable it advances the
 // clock straight to the next timer deadline.
 //
+// On a real clock the blocking wait is ppoll(2) with the exact time left
+// to the next deadline, in nanoseconds (capped at 100 ms). A millisecond
+// poll(2) timeout has to be rounded up to not wake early, which makes
+// every timer fire up to 1 ms late; an event-driven router forwards a
+// route as soon as it is due (§4), so retry backoff, triggered updates,
+// simulated link latency and paced senders all depend on this wait
+// ending on time.
+//
 // Threading model: a loop is owned by exactly one thread — whichever
 // thread drives run()/run_once() — and every API except post(),
 // run_on(), and request_stop() must be called from that thread. The
 // three exceptions are the cross-thread seam: post() enqueues a callback
 // under a small mutex and wakes the owning thread through an eventfd, so
-// an idle loop blocks in poll(2) instead of spinning and still reacts
+// an idle loop blocks in ppoll(2) instead of spinning and still reacts
 // immediately. Ownership is asserted at runtime: once a thread has
 // driven the loop, a timer/fd/task registration from any other thread
 // aborts with a diagnostic instead of corrupting the heap silently.
@@ -97,7 +105,7 @@ public:
     // current thread; the join provides the happens-before edge.
     void release_owner() { owner_.store({}, std::memory_order_relaxed); }
     // Keeps run() alive when every event source is empty — a component
-    // thread parks in poll(2) awaiting post()/ring wakeups instead of
+    // thread parks in ppoll(2) awaiting post()/ring wakeups instead of
     // falling out of run(); only stop()/request_stop() ends such a run().
     void hold_open(bool on) { hold_open_ = on; }
 
@@ -127,14 +135,15 @@ private:
         }
     };
 
-    Timer schedule(TimerSP state);
+    TimerSP schedule(TimerSP state);
+    TimerSP schedule_one_shot(TimePoint when, std::function<void()> cb);
     void compact_heap();
     void heap_push(TimerSP s);
     TimerSP heap_pop();
     bool fire_due_timers();
-    bool dispatch_fds(int timeout_ms);
+    bool dispatch_fds(int64_t timeout_ns);
     bool run_one_task_slice();
-    int poll_timeout_ms(bool may_block);
+    int64_t poll_timeout_ns(bool may_block);
     void claim_owner();
     void check_owner(const char* what) const;
     bool drain_posted();
@@ -161,7 +170,6 @@ private:
     // has doubled since its last compaction, which drops them all.
     std::vector<TimerSP> heap_;
     size_t heap_compacted_size_ = 0;
-    std::vector<Timer> deferred_owned_;  // keeps defer() timers alive
 
     std::map<int, std::function<void()>> readers_;
     std::map<int, std::function<void()>> writers_;

@@ -1,6 +1,6 @@
 // Timer handles. A Timer is an owning handle: dropping it cancels the
 // callback (the XORP XorpTimer contract). Fire-and-forget scheduling goes
-// through EventLoop::defer(), which keeps its own reference.
+// through EventLoop::defer(), whose heap entry is the only reference.
 #ifndef XRP_EV_TIMER_HPP
 #define XRP_EV_TIMER_HPP
 

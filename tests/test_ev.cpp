@@ -3,7 +3,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <vector>
 
 #include "ev/eventloop.hpp"
 
@@ -282,4 +284,46 @@ TEST(EventLoop, CancelledTimersDoNotAccumulate) {
     ASSERT_TRUE(loop.run_until([&] { return fired; }, 1s));
     EXPECT_LT(clock.now() - armed, Duration(50ms));
     EXPECT_EQ(stray, 0);
+}
+
+namespace {
+Duration median(std::vector<Duration> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+}
+}  // namespace
+
+// The blocking wait ends at the deadline, not at the next whole
+// millisecond after it: a sub-millisecond timer on an idle real-clock loop
+// fires within the kernel's timer slack, never before its deadline. The
+// median keeps the bound meaningful under a parallel or sanitized run.
+TEST(EventLoop, RealClockTimerFiresOnTime) {
+    RealClock clock;
+    EventLoop loop(clock);
+    std::vector<Duration> late;
+    for (int i = 0; i < 200; ++i) {
+        const TimePoint due = clock.now() + 300us;
+        TimePoint fired_at{};
+        Timer t = loop.set_timer_at(due, [&] { fired_at = clock.now(); });
+        ASSERT_TRUE(
+            loop.run_until([&] { return fired_at != TimePoint{}; }, 1s));
+        ASSERT_GE(fired_at, due) << "timer " << i << " fired early";
+        late.push_back(fired_at - due);
+    }
+    EXPECT_LT(median(late), Duration(300us));
+}
+
+// run_for on an idle real-clock loop returns at its deadline: the wait is
+// clamped to the time left, at nanosecond precision.
+TEST(EventLoop, RunForReturnsOnTime) {
+    RealClock clock;
+    EventLoop loop(clock);
+    std::vector<Duration> took;
+    for (int i = 0; i < 50; ++i) {
+        const TimePoint t0 = clock.now();
+        loop.run_for(1500us);
+        took.push_back(clock.now() - t0);
+        ASSERT_GE(took.back(), Duration(1500us)) << "run " << i;
+    }
+    EXPECT_LT(median(took), Duration(1900us));
 }
