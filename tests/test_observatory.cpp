@@ -184,6 +184,65 @@ TEST(Journal, JsonlExportParsesLineByLine) {
     EXPECT_EQ(kinds[1], "call_retry");
 }
 
+TEST(Journal, GoldenJsonLinePerKind) {
+    // Committed scenario output and the analyzer read these bytes, so
+    // every kind's line is pinned exactly: key order, escaping, and the
+    // omission of an empty detail and a zero value.
+    auto line = [](JournalKind kind, int64_t t_ns, const char* node,
+                   const char* component, const char* subject,
+                   const char* detail, int64_t value) {
+        JournalEvent e;
+        e.seq = 7;
+        e.t = ev::TimePoint{} + std::chrono::nanoseconds(t_ns);
+        e.kind = kind;
+        e.node = node;
+        e.component = component;
+        e.subject = subject;
+        e.detail = detail;
+        e.value = value;
+        return e.to_json();
+    };
+    const std::pair<std::string, std::string> golden[] = {
+        {line(JournalKind::kRouteInstall, 1500000000, "r1", "rib",
+              "10.0.1.0/24", "ospf:10.1.0.2", 20),
+         R"({"seq":7,"t_ns":1500000000,"kind":"route_install","node":"r1","component":"rib","subject":"10.0.1.0/24","detail":"ospf:10.1.0.2","value":20})"},
+        {line(JournalKind::kRouteWithdraw, 2, "r1", "rib", "10.0.1.0/24",
+              "ospf", 0),
+         R"({"seq":7,"t_ns":2,"kind":"route_withdraw","node":"r1","component":"rib","subject":"10.0.1.0/24","detail":"ospf"})"},
+        {line(JournalKind::kFibAdd, 3, "r2", "fea", "10.0.2.0/24",
+              "10.1.0.2@2:eth0|10.1.1.2:eth1", 0),
+         R"({"seq":7,"t_ns":3,"kind":"fib_add","node":"r2","component":"fea","subject":"10.0.2.0/24","detail":"10.1.0.2@2:eth0|10.1.1.2:eth1"})"},
+        {line(JournalKind::kFibDelete, 4, "r2", "fea", "10.0.2.0/24", "", 0),
+         R"({"seq":7,"t_ns":4,"kind":"fib_delete","node":"r2","component":"fea","subject":"10.0.2.0/24"})"},
+        {line(JournalKind::kLsaFlood, 5, "r3", "ospf", "router:1.1.1.1",
+              "eth0", 2147483649),
+         R"({"seq":7,"t_ns":5,"kind":"lsa_flood","node":"r3","component":"ospf","subject":"router:1.1.1.1","detail":"eth0","value":2147483649})"},
+        {line(JournalKind::kDeath, 6, "r3", "supervisor", "rib",
+              "channel \"closed\"\n", 0),
+         R"({"seq":7,"t_ns":6,"kind":"death","node":"r3","component":"supervisor","subject":"rib","detail":"channel \"closed\"\n"})"},
+        {line(JournalKind::kRestart, 7, "r3", "supervisor", "rib", "", 1),
+         R"({"seq":7,"t_ns":7,"kind":"restart","node":"r3","component":"supervisor","subject":"rib","value":1})"},
+        {line(JournalKind::kBreakerTrip, 8, "", "supervisor", "bgp", "", 5),
+         R"({"seq":7,"t_ns":8,"kind":"breaker_trip","node":"","component":"supervisor","subject":"bgp","value":5})"},
+        {line(JournalKind::kFaultInjected, 9, "r0", "faults", "fea", "drop",
+              0),
+         R"({"seq":7,"t_ns":9,"kind":"fault_injected","node":"r0","component":"faults","subject":"fea","detail":"drop"})"},
+        {line(JournalKind::kCallRetry, 10, "r0", "ipc", "rib",
+              "rib/1.0/add_route", 2),
+         R"({"seq":7,"t_ns":10,"kind":"call_retry","node":"r0","component":"ipc","subject":"rib","detail":"rib/1.0/add_route","value":2})"},
+        {line(JournalKind::kCallFailover, 11, "r0", "ipc", "rib",
+              "rib/1.0/add_route", 0),
+         R"({"seq":7,"t_ns":11,"kind":"call_failover","node":"r0","component":"ipc","subject":"rib","detail":"rib/1.0/add_route"})"},
+        {line(JournalKind::kProcessOutput, 12, "r0", "process", "bgp",
+              "tab\there", 0),
+         R"({"seq":7,"t_ns":12,"kind":"process_output","node":"r0","component":"process","subject":"bgp","detail":"tab\there"})"},
+        {line(JournalKind::kProcessExit, -13, "r0", "process", "bgp",
+              "signal 9", -4242),
+         R"({"seq":7,"t_ns":-13,"kind":"process_exit","node":"r0","component":"process","subject":"bgp","detail":"signal 9","value":-4242})"},
+    };
+    for (const auto& [got, want] : golden) EXPECT_EQ(got, want);
+}
+
 // ---- analyzer vs hand-built timelines ----------------------------------
 
 TEST(Analyzer, BlackholeWindowMatchesOracleTimeline) {
