@@ -10,12 +10,14 @@
 //   7. Arriving at FEA                     (fea_in)
 //   8. Entering kernel                     (kernel_in)
 //
-// Every point is an event in the route's trace (telemetry::Tracer). The
+// Every point is a journal record in the route's trace (telemetry::
+// Journal, stamped with the id telemetry/trace.hpp propagates). The
 // UPDATE carrying a test route roots the trace at BGP; points 1, 2, 5 and
 // 8 are the components' own events, and points 3, 4, 6 and 7 are the XRL
 // layer's "send" (the send attempt) and "dispatch" events for the
-// rib/1.0 and fea/1.0 route verbs. Tracing is on only while the test
-// routes run, so the table load is untraced.
+// rib/1.0 and fea/1.0 route verbs. Trace roots are on only while the test
+// routes run, so the table load is untraced; the journal's own kinds stay
+// off, so no other record falls inside the measured intervals.
 //
 // Three experiments, as in the paper: (Fig 10) empty table; (Fig 11) a
 // 146515-route synthetic backbone feed with test routes injected on the
@@ -46,59 +48,67 @@
 #include "sim/harness.hpp"
 #include "sim/routefeed.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/journal.hpp"
 
 using namespace xrp;
 using namespace std::chrono_literals;
 using net::IPv4;
 using net::IPv4Net;
+using telemetry::JournalKind;
 
 namespace {
 
 // Where each point shows up in the route's trace: a component's own
-// event carrying "add <net>", or the XRL layer's send/dispatch event for
-// the route verb named by `verb`.
+// event adding the route, or the XRL layer's send/dispatch event for the
+// route verb named by `verb`.
 struct Point {
     const char* name;
     const char* label;
-    const char* event;
-    const char* verb;  // nullptr: match the event's "add <net>" detail
+    JournalKind event;
+    const char* verb;  // nullptr: match an "add" of the route's prefix
 };
 constexpr Point kPoints[] = {
-    {"bgp_in", "Entering BGP", "bgp_in", nullptr},
-    {"bgp_rib_queued", "Queued for transmission to the RIB", "bgp_rib_queued",
-     nullptr},
-    {"bgp_rib_sent", "Sent to RIB", "send", "rib/1.0/add_route"},
-    {"rib_in", "Arriving at the RIB", "dispatch", "rib/1.0/add_route"},
-    {"rib_fea_queued", "Queued for transmission to the FEA", "rib_fea_queued",
-     nullptr},
-    {"rib_fea_sent", "Sent to the FEA", "send", "fea/1.0/add_route4"},
-    {"fea_in", "Arriving at FEA", "dispatch", "fea/1.0/add_route4"},
-    {"kernel_in", "Entering kernel", "kernel_in", nullptr},
+    {"bgp_in", "Entering BGP", JournalKind::kBgpIn, nullptr},
+    {"bgp_rib_queued", "Queued for transmission to the RIB",
+     JournalKind::kBgpRibQueued, nullptr},
+    {"bgp_rib_sent", "Sent to RIB", JournalKind::kSend, "rib/1.0/add_route"},
+    {"rib_in", "Arriving at the RIB", JournalKind::kDispatch,
+     "rib/1.0/add_route"},
+    {"rib_fea_queued", "Queued for transmission to the FEA",
+     JournalKind::kRibFeaQueued, nullptr},
+    {"rib_fea_sent", "Sent to the FEA", JournalKind::kSend,
+     "fea/1.0/add_route4"},
+    {"fea_in", "Arriving at FEA", JournalKind::kDispatch,
+     "fea/1.0/add_route4"},
+    {"kernel_in", "Entering kernel", JournalKind::kKernelIn, nullptr},
 };
 constexpr size_t kNumPoints = std::size(kPoints);
 
-// The eight timestamps of the route added as `payload` ("add <net>"),
-// each the first matching event in the trace its bgp_in event opened;
-// nullopt unless all eight are in that one trace.
+// The eight timestamps of the route to `prefix`, each the first matching
+// event in the trace its bgp_in "add" opened; nullopt unless all eight
+// are in that one trace.
 std::optional<std::array<ev::TimePoint, kNumPoints>> route_points(
-    const std::vector<telemetry::TraceEvent>& events,
-    const std::string& payload) {
+    const std::vector<telemetry::JournalEvent>& events,
+    const std::string& prefix) {
+    auto adds = [&](const telemetry::JournalEvent& e) {
+        return e.subject == prefix && e.detail == "add";
+    };
     uint64_t trace_id = 0;
     for (const auto& e : events)
-        if (e.point == kPoints[0].event && e.detail == payload) {
-            trace_id = e.trace_id;
+        if (e.kind == JournalKind::kBgpIn && adds(e)) {
+            trace_id = e.trace;
             break;
         }
     if (trace_id == 0) return std::nullopt;
     std::array<std::optional<ev::TimePoint>, kNumPoints> found;
     for (const auto& e : events) {
-        if (e.trace_id != trace_id) continue;
+        if (e.trace != trace_id) continue;
         for (size_t p = 0; p < kNumPoints; ++p) {
             const Point& pt = kPoints[p];
-            if (found[p] || e.point != pt.event) continue;
-            if (pt.verb != nullptr ? e.detail.find(pt.verb) != std::string::npos
-                                   : e.detail == payload)
+            if (found[p] || e.kind != pt.event) continue;
+            if (pt.verb != nullptr
+                    ? e.subject.find(pt.verb) != std::string::npos
+                    : adds(e))
                 found[p] = e.t;
         }
     }
@@ -249,18 +259,18 @@ bool run_experiment(bench::Report& report, const char* figure,
 
     // The measurement loop: announce, wait for the kernel, withdraw. Only
     // these routes are traced, and the ring holds one route at a time.
-    telemetry::Tracer& tracer = telemetry::Tracer::global();
-    tracer.set_enabled(true);
+    telemetry::Journal& journal = telemetry::Journal::global();
+    telemetry::set_tracing_enabled(true);
     sim::LatencyStats stats[kNumPoints];
     int measured = 0;
     for (int i = 0; i < test_routes; ++i) {
         IPv4Net net(IPv4((10u << 24) | (static_cast<uint32_t>(i + 1) << 8)),
                     24);
-        tracer.clear();
+        journal.clear();
         feed->announce(net, nexthop, {65000});
         const bool ok = stack.run_until(
             [&] { return stack.fea->fib().find_exact(net) != nullptr; }, 5s);
-        if (auto t = ok ? route_points(tracer.events(), "add " + net.str())
+        if (auto t = ok ? route_points(journal.events(), net.str())
                         : std::nullopt) {
             ++measured;
             for (size_t p = 1; p < kNumPoints; ++p)
@@ -273,8 +283,8 @@ bool run_experiment(bench::Report& report, const char* figure,
         stack.run_until(
             [&] { return stack.fea->fib().find_exact(net) == nullptr; }, 5s);
     }
-    tracer.set_enabled(false);
-    tracer.clear();
+    telemetry::set_tracing_enabled(false);
+    journal.clear();
 
     std::printf("\n## %s\n", title);
     std::printf("#   (%d test routes measured; latencies in ms relative to "

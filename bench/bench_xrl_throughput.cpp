@@ -15,7 +15,8 @@
 // clients, once as four routers sharing one event loop over sTCP (the
 // single-loop baseline) and once as four ComponentThreads calling a
 // threaded server over the xring family. The acceptance bar is xring
-// aggregate >= 2x the single-loop baseline.
+// aggregate >= 2x the single-loop baseline; on a host with at least four
+// cores a miss sets exit status 1.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -322,6 +323,18 @@ int main(int argc, char** argv) {
     trow.set("nargs", json::Value(fan_nargs));
     trow.set("aggregate_xrls_per_s", json::Value(threaded));
     trow.set("speedup_vs_single_loop", json::Value(speedup));
-    std::printf("# gate: threaded xring >= 2x single-loop stcp aggregate\n");
-    return 0;
+    // The gate needs a core per client thread to mean anything; on a
+    // smaller host it is reported as not evaluated rather than passed.
+    const unsigned cores = std::thread::hardware_concurrency();
+    if (cores < 4) {
+        std::printf("# gate: threaded xring >= 2x single-loop stcp aggregate "
+                    "not evaluated (%u cores < 4)\n",
+                    cores);
+        return 0;
+    }
+    const bool pass = speedup >= 2.0;
+    std::printf("# gate: threaded xring >= 2x single-loop stcp aggregate: "
+                "%s (%.2fx)\n",
+                pass ? "pass" : "FAIL", speedup);
+    return pass ? 0 : 1;
 }

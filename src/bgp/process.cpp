@@ -2,7 +2,7 @@
 
 #include <optional>
 
-#include "telemetry/trace.hpp"
+#include "telemetry/journal.hpp"
 
 namespace xrp::bgp {
 
@@ -87,8 +87,9 @@ BgpProcess::BgpProcess(ev::EventLoop& loop, Config config,
             // (network statements); feeding them back would ask the RIB
             // for an origin it doesn't have.
             if (r.protocol == "local") return;
-            telemetry::trace_route(loop_.clock(), "bgp_rib_queued", is_add,
-                                   r.net);
+            telemetry::trace_route(loop_.clock(),
+                                   telemetry::JournalKind::kBgpRibQueued, "",
+                                   "bgp", is_add, r.net);
             if (is_add)
                 rib_->add_route(r);
             else
@@ -99,8 +100,9 @@ BgpProcess::BgpProcess(ev::EventLoop& loop, Config config,
         // entry; a replace whose halves disagree degrades to the
         // surviving half. The filtered delta ships as one RIB call.
         auto queued = [this](bool is_add, const IPv4Net& net) {
-            telemetry::trace_route(loop_.clock(), "bgp_rib_queued", is_add,
-                                   net);
+            telemetry::trace_route(loop_.clock(),
+                                   telemetry::JournalKind::kBgpRibQueued, "",
+                                   "bgp", is_add, net);
         };
         stage::RouteBatch<IPv4> out;
         out.reserve(batch.size());
@@ -244,9 +246,9 @@ void BgpProcess::handle_update(int peer_id, const UpdateMessage& update) {
     // An UPDATE read off the wire roots its own trace, so every event of
     // its routes' journey (bgp_in here, through the XRL hops, to
     // kernel_in at the FEA) shares one trace id.
-    std::optional<telemetry::Tracer::Scope> trace_scope;
-    if (telemetry::tracing_enabled() && !telemetry::Tracer::current().valid())
-        trace_scope.emplace(telemetry::Tracer::global().begin_trace());
+    std::optional<telemetry::TraceScope> trace_scope;
+    if (telemetry::tracing_enabled() && !telemetry::current_trace().valid())
+        trace_scope.emplace(telemetry::begin_trace());
 
     // One UPDATE becomes one batch into the Peer In: withdrawals then
     // announcements, the announcements sharing a single interned
@@ -254,7 +256,8 @@ void BgpProcess::handle_update(int peer_id, const UpdateMessage& update) {
     stage::RouteBatch<IPv4> batch;
     batch.reserve(update.withdrawn.size() + update.nlri.size());
     for (const IPv4Net& net : update.withdrawn) {
-        telemetry::trace_route(loop_.clock(), "bgp_in", false, net);
+        telemetry::trace_route(loop_.clock(), telemetry::JournalKind::kBgpIn,
+                               "", "bgp", false, net);
         BgpRoute r;
         r.net = net;
         batch.del(std::move(r));
@@ -268,7 +271,9 @@ void BgpProcess::handle_update(int peer_id, const UpdateMessage& update) {
         auto attrs = intern_attrs(*update.attributes);
         const bool ibgp = p.session->is_ibgp();
         for (const IPv4Net& net : update.nlri) {
-            telemetry::trace_route(loop_.clock(), "bgp_in", true, net);
+            telemetry::trace_route(loop_.clock(),
+                                   telemetry::JournalKind::kBgpIn, "", "bgp",
+                                   true, net);
             BgpRoute r;
             r.net = net;
             r.nexthop = attrs->nexthop;

@@ -1,7 +1,6 @@
 #include "fea/fea.hpp"
 
 #include "telemetry/journal.hpp"
-#include "telemetry/trace.hpp"
 
 namespace xrp::fea {
 
@@ -17,7 +16,8 @@ void Fea::add_route(const net::IPv4Net& net, net::IPv4 nexthop) {
         telemetry::Journal::current().record(
             loop_.now(), telemetry::JournalKind::kFibAdd, node_, "fea",
             net.str(), nexthop.str() + ":" + e.ifname);
-    telemetry::trace_route(loop_.clock(), "kernel_in", true, net);
+    telemetry::trace_route(loop_.clock(), telemetry::JournalKind::kKernelIn,
+                           node_, "fea", true, net);
 }
 
 void Fea::add_route(const net::IPv4Net& net,
@@ -51,7 +51,8 @@ void Fea::add_route(const net::IPv4Net& net,
         telemetry::Journal::current().record(
             loop_.now(), telemetry::JournalKind::kFibAdd, node_, "fea",
             net.str(), detail);
-    telemetry::trace_route(loop_.clock(), "kernel_in", true, net);
+    telemetry::trace_route(loop_.clock(), telemetry::JournalKind::kKernelIn,
+                           node_, "fea", true, net);
 }
 
 void Fea::apply_batch(const stage::RouteBatch4& batch) {
@@ -84,7 +85,10 @@ bool Fea::delete_route(const net::IPv4Net& net) {
         telemetry::Journal::current().record(loop_.now(),
                                             telemetry::JournalKind::kFibDelete,
                                             node_, "fea", net.str());
-    if (ok) telemetry::trace_route(loop_.clock(), "kernel_in", false, net);
+    if (ok)
+        telemetry::trace_route(loop_.clock(),
+                               telemetry::JournalKind::kKernelIn, node_,
+                               "fea", false, net);
     return ok;
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <optional>
 
 #include "ipc/common_xrl.hpp"
 #include "ipc/fault_xrl.hpp"
@@ -314,24 +315,13 @@ void XrlRouter::dispatch_raw(const finder::Resolution& res,
         // Intra dispatch is synchronous, so latency is measured around the
         // call itself and the callee runs under the deepened trace context
         // (nested sends inherit it straight off this stack).
+        std::optional<telemetry::TraceScope> hop;
         if (telemetry::tracing_enabled()) {
-            telemetry::TraceContext ctx = telemetry::Tracer::current();
-            if (ctx.valid()) {
-                telemetry::TraceContext hop = ctx.next_hop();
-                telemetry::Tracer::global().record(
-                    hop, home_loop_.now(), "dispatch",
-                    "inproc " + res.keyed_method);
-                telemetry::Tracer::Scope scope(hop);
-                if (telemetry::enabled()) {
-                    const ev::TimePoint t0 = home_loop_.now();
-                    plexus_.intra.send(res.address, res.keyed_method, args,
-                                       std::move(done));
-                    m.lat_inproc->observe_always(home_loop_.now() - t0);
-                } else {
-                    plexus_.intra.send(res.address, res.keyed_method, args,
-                                       std::move(done));
-                }
-                return;
+            if (const auto ctx = telemetry::current_trace(); ctx.valid()) {
+                hop.emplace(ctx.next_hop());
+                telemetry::Journal::current().record(
+                    home_loop_.now(), telemetry::JournalKind::kDispatch,
+                    plexus_.node, "ipc", res.keyed_method, "inproc");
             }
         }
         if (telemetry::enabled()) {
@@ -403,8 +393,8 @@ bool XrlRouter::call(const xrl::Xrl& xrl, const CallOptions& opts,
         // traced dispatch). Each attempt records its own "send" event
         // under this context — a retry IS a resend.
         telemetry::TraceContext ctx = st->opts.trace;
-        if (!ctx.valid()) ctx = telemetry::Tracer::current();
-        if (!ctx.valid()) ctx = telemetry::Tracer::global().begin_trace();
+        if (!ctx.valid()) ctx = telemetry::current_trace();
+        if (!ctx.valid()) ctx = telemetry::begin_trace();
         st->trace = ctx;
     }
     begin_cycle(st);
@@ -436,7 +426,7 @@ void XrlRouter::call_oneway(const xrl::Xrl& xrl, const CallOptions& opts) {
     // A queued call may start after this stack has unwound; it stays in
     // the trace of the code that made it.
     if (telemetry::tracing_enabled() && !opts.trace.valid())
-        q.back().second.trace = telemetry::Tracer::current();
+        q.back().second.trace = telemetry::current_trace();
     pump_oneway(xrl.target());
 }
 
@@ -548,11 +538,10 @@ void XrlRouter::start_attempt(const std::shared_ptr<CallState>& st) {
         on_response(st, gen, e, a);
     };
     if (telemetry::tracing_enabled() && st->trace.valid()) {
-        telemetry::Tracer::global().record(
-            st->trace, now, "send",
-            res.family + " " + st->xrl.target() + "/" +
-                st->xrl.full_method());
-        telemetry::Tracer::Scope scope(st->trace);
+        telemetry::TraceScope scope(st->trace);
+        telemetry::Journal::current().record(
+            now, telemetry::JournalKind::kSend, plexus_.node, "ipc",
+            st->xrl.target() + "/" + st->xrl.full_method(), res.family);
         dispatch_via(st->xrl.target(), res, st->xrl.args(), std::move(cb));
         return;
     }
@@ -683,7 +672,7 @@ void XrlRouter::finish_call(const std::shared_ptr<CallState>& st,
     // The response continues the caller's work: run it under the call's
     // trace, whichever transport (and loop iteration) delivered it.
     if (telemetry::tracing_enabled() && st->trace.valid()) {
-        telemetry::Tracer::Scope scope(st->trace);
+        telemetry::TraceScope scope(st->trace);
         done(err, args);
         return;
     }
@@ -738,13 +727,12 @@ bool XrlRouter::send_unreliable(const xrl::Xrl& xrl, ResponseCallback done) {
         return true;
     }
     if (telemetry::tracing_enabled()) {
-        auto& tracer = telemetry::Tracer::global();
-        telemetry::TraceContext ctx = telemetry::Tracer::current();
-        if (!ctx.valid()) ctx = tracer.begin_trace();
-        tracer.record(ctx, home_loop_.now(), "send",
-                      res->family + " " + xrl.target() + "/" +
-                          xrl.full_method());
-        telemetry::Tracer::Scope scope(ctx);
+        telemetry::TraceContext ctx = telemetry::current_trace();
+        if (!ctx.valid()) ctx = telemetry::begin_trace();
+        telemetry::TraceScope scope(ctx);
+        telemetry::Journal::current().record(
+            home_loop_.now(), telemetry::JournalKind::kSend, plexus_.node,
+            "ipc", xrl.target() + "/" + xrl.full_method(), res->family);
         dispatch_via(xrl.target(), *res, xrl.args(), std::move(done));
         return true;
     }

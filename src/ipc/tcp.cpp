@@ -6,6 +6,7 @@
 
 #include <cstring>
 
+#include "telemetry/journal.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -135,9 +136,11 @@ void TcpListener::process_frames(const std::shared_ptr<Connection>& c) {
         // (async). Either way the response is queued on this connection if
         // it is still open. Scoping the carried trace context around the
         // dispatch lets the handler's own nested sends join the trace.
-        telemetry::Tracer::global().record(req.trace, loop_.now(), "dispatch",
-                                           "stcp " + req.method);
-        telemetry::Tracer::Scope trace_scope(req.trace);
+        telemetry::TraceScope trace_scope(req.trace);
+        if (req.trace.valid())
+            telemetry::Journal::current().record(
+                loop_.now(), telemetry::JournalKind::kDispatch, "", "ipc",
+                req.method, "stcp");
         std::weak_ptr<Connection> weak = c;
         dispatcher_.dispatch(
             req.method, req.args,
@@ -275,7 +278,7 @@ void TcpChannel::send(const std::string& keyed_method,
     req.method = keyed_method;
     req.args = args;
     // Carry the caller's trace (if any) across the wire, one hop deeper.
-    if (telemetry::TraceContext ctx = telemetry::Tracer::current();
+    if (const telemetry::TraceContext ctx = telemetry::current_trace();
         ctx.valid())
         req.trace = ctx.next_hop();
     std::vector<uint8_t> body;

@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "telemetry/journal.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -64,9 +65,11 @@ void UdpListener::on_readable() {
             decode_frame(buf, static_cast<size_t>(n), req, resp_unused);
         if (!kind || *kind != FrameKind::kRequest) continue;  // drop garbage
         const uint32_t seq = req.seq;
-        telemetry::Tracer::global().record(req.trace, loop_.now(), "dispatch",
-                                           "sudp " + req.method);
-        telemetry::Tracer::Scope trace_scope(req.trace);
+        telemetry::TraceScope trace_scope(req.trace);
+        if (req.trace.valid())
+            telemetry::Journal::current().record(
+                loop_.now(), telemetry::JournalKind::kDispatch, "", "ipc",
+                req.method, "sudp");
         // UDP handlers must complete synchronously enough that the peer
         // address capture below stays valid; we copy it into the lambda.
         dispatcher_.dispatch(
@@ -124,7 +127,7 @@ void UdpChannel::send(const std::string& keyed_method,
     req.seq = next_seq_++;
     req.method = keyed_method;
     req.args = args;
-    if (telemetry::TraceContext ctx = telemetry::Tracer::current();
+    if (const telemetry::TraceContext ctx = telemetry::current_trace();
         ctx.valid())
         req.trace = ctx.next_hop();
     Pending p;

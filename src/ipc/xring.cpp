@@ -5,6 +5,7 @@
 
 #include <utility>
 
+#include "telemetry/journal.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -187,9 +188,11 @@ void XringPort::drain_once(const std::shared_ptr<XringConduit>& c) {
             decode_frame(frame.data(), frame.size(), req, resp_unused);
         if (!kind || *kind != FrameKind::kRequest) continue;  // malformed
         const uint32_t seq = req.seq;
-        telemetry::Tracer::global().record(req.trace, loop_.now(), "dispatch",
-                                           "xring " + req.method);
-        telemetry::Tracer::Scope trace_scope(req.trace);
+        telemetry::TraceScope trace_scope(req.trace);
+        if (req.trace.valid())
+            telemetry::Journal::current().record(
+                loop_.now(), telemetry::JournalKind::kDispatch, "", "ipc",
+                req.method, "xring");
         // The completion may run now (sync handler) or later (async); the
         // conduit outlives the port, and a reply after either side closed
         // is dropped before touching port state (`this` is only safe while
@@ -298,7 +301,7 @@ void XringChannel::send(const std::string& keyed_method,
     req.method = keyed_method;
     req.args = args;
     // Carry the caller's trace (if any) across the thread hop.
-    if (telemetry::TraceContext ctx = telemetry::Tracer::current();
+    if (const telemetry::TraceContext ctx = telemetry::current_trace();
         ctx.valid())
         req.trace = ctx.next_hop();
     Queued q;

@@ -1,7 +1,6 @@
 #include "rib/rib.hpp"
 
 #include "telemetry/journal.hpp"
-#include "telemetry/trace.hpp"
 
 namespace xrp::rib {
 
@@ -66,8 +65,9 @@ Rib::Rib(ev::EventLoop& loop, std::unique_ptr<FeaHandle> fea)
     }
     final_ = std::make_unique<stage::SinkStage<IPv4>>(
         "fea-branch", [this](bool is_add, const Route4& r) {
-            telemetry::trace_route(loop_.clock(), "rib_fea_queued", is_add,
-                                   r.net);
+            telemetry::trace_route(loop_.clock(),
+                                   telemetry::JournalKind::kRibFeaQueued,
+                                   node_, "rib", is_add, r.net);
             // Replacement is delete(old)+add(new), so the ECMP occupancy
             // gauges stay balanced across set membership changes.
             if (r.is_multipath()) {
@@ -93,11 +93,13 @@ Rib::Rib(ev::EventLoop& loop, std::unique_ptr<FeaHandle> fea)
             const Route4& gone =
                 e.op == stage::BatchOp::kReplace ? e.old_route : e.route;
             if (e.op != stage::BatchOp::kAdd)
-                telemetry::trace_route(loop_.clock(), "rib_fea_queued", false,
-                                       gone.net);
+                telemetry::trace_route(
+                    loop_.clock(), telemetry::JournalKind::kRibFeaQueued,
+                    node_, "rib", false, gone.net);
             if (e.op != stage::BatchOp::kDelete)
-                telemetry::trace_route(loop_.clock(), "rib_fea_queued", true,
-                                       e.route.net);
+                telemetry::trace_route(
+                    loop_.clock(), telemetry::JournalKind::kRibFeaQueued,
+                    node_, "rib", true, e.route.net);
             if (e.op != stage::BatchOp::kAdd && gone.is_multipath()) {
                 m_ecmp_routes_->add(-1);
                 m_ecmp_members_->add(

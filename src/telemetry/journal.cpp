@@ -19,6 +19,12 @@ const char* journal_kind_name(JournalKind k) {
         case JournalKind::kCallFailover: return "call_failover";
         case JournalKind::kProcessOutput: return "process_output";
         case JournalKind::kProcessExit: return "process_exit";
+        case JournalKind::kSend: return "send";
+        case JournalKind::kDispatch: return "dispatch";
+        case JournalKind::kBgpIn: return "bgp_in";
+        case JournalKind::kBgpRibQueued: return "bgp_rib_queued";
+        case JournalKind::kRibFeaQueued: return "rib_fea_queued";
+        case JournalKind::kKernelIn: return "kernel_in";
     }
     return "unknown";
 }
@@ -44,6 +50,12 @@ std::string JournalEvent::to_json() const {
     if (value != 0) {
         out += ",\"value\":";
         out += std::to_string(value);
+    }
+    if (trace != 0) {
+        out += ",\"trace\":";
+        out += std::to_string(trace);
+        out += ",\"hop\":";
+        out += std::to_string(hop);
     }
     out += '}';
     return out;
@@ -107,7 +119,8 @@ size_t Journal::capacity() const {
 void Journal::record(ev::TimePoint t, JournalKind kind, std::string_view node,
                      std::string_view component, std::string_view subject,
                      std::string_view detail, int64_t value) {
-    if (!enabled()) return;
+    const TraceContext ctx = current_trace();
+    if (is_trace_kind(kind) ? !ctx.valid() : !enabled()) return;
     JournalEvent ev;
     ev.t = t;
     ev.kind = kind;
@@ -116,6 +129,8 @@ void Journal::record(ev::TimePoint t, JournalKind kind, std::string_view node,
     ev.subject.assign(subject);
     ev.detail.assign(detail);
     ev.value = value;
+    ev.trace = ctx.trace_id;
+    ev.hop = ctx.hop;
 
     std::lock_guard<std::mutex> lk(mu_);
     ev.seq = next_seq_++;

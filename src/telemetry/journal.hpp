@@ -1,16 +1,27 @@
-// Structured event journal: the observability spine of the scenario
-// harness. Components append typed, monotonic-timestamped records —
-// route install/withdraw, FIB write, LSA flood, supervisor
-// death/restart/breaker, injected fault, XRL retry/failover — and the
-// convergence analyzer replays them to reconstruct what the network was
-// doing in between the moments a test happened to look.
+// Structured event journal: the process's one event recorder, and the
+// observability spine of the scenario harness. Components append typed,
+// monotonic-timestamped records — route install/withdraw, FIB write, LSA
+// flood, supervisor death/restart/breaker, injected fault, XRL
+// retry/failover — and the convergence analyzer replays them to
+// reconstruct what the network was doing in between the moments a test
+// happened to look. The §8.2 profiling points of Figs 10–12 are records
+// too (the trace kinds), and every record made under a trace carries its
+// id and hop (telemetry/trace.hpp), so a traced route's route_install and
+// fib_add share a timeline with its bgp_in and kernel_in.
+//
+// Two switches stay: a journal kind is recorded only while this journal
+// is enabled, a trace kind only under a trace, which exists only while
+// trace roots are on. The scenario runner journals with roots off (per-XRL
+// events would crowd its ring); the Figs 10–12 bench traces with the
+// journal off (its records would fall inside the measured intervals).
 //
 // Same discipline as the metrics registry: process-global singleton,
 // disabled by default, and the disabled hot path is one relaxed atomic
-// load plus a branch (`journal_enabled()`), so instrumented code costs
-// nothing when nobody is watching. Callers pass their own loop's
-// timestamp — in a multi-router simulation every component runs on one
-// VirtualClock loop, so journal order and timestamp order agree.
+// load plus a branch (`journal_enabled()` or `tracing_enabled()`), so
+// instrumented code costs nothing when nobody is watching. Callers pass
+// their own loop's timestamp — in a multi-router simulation every
+// component runs on one VirtualClock loop, so journal order and
+// timestamp order agree.
 //
 // Threading: record()/events()/clear() are safe from any thread — every
 // ring mutation happens under one mutex, and seq numbers stay globally
@@ -32,6 +43,7 @@
 #include <vector>
 
 #include "ev/clock.hpp"
+#include "telemetry/trace.hpp"
 
 namespace xrp::telemetry {
 
@@ -49,7 +61,16 @@ enum class JournalKind : uint8_t {
     kCallFailover,   // reliable call switched ep     subject=target detail=method
     kProcessOutput,  // child process wrote a line    subject=component detail=line
     kProcessExit,    // child process was reaped      subject=component detail=status value=pid
+    // Trace kinds: the §8.2 profiling points, recorded under a trace.
+    kSend,           // XRL layer sent an attempt     subject=target/method detail=family
+    kDispatch,       // XRL layer dispatched a call   subject=method detail=family
+    kBgpIn,          // UPDATE route entered BGP      subject=prefix detail=add|delete
+    kBgpRibQueued,   // BGP queued it for the RIB     subject=prefix detail=add|delete
+    kRibFeaQueued,   // RIB queued it for the FEA     subject=prefix detail=add|delete
+    kKernelIn,       // FEA wrote it to the FIB       subject=prefix detail=add|delete
 };
+
+inline bool is_trace_kind(JournalKind k) { return k >= JournalKind::kSend; }
 
 // Stable machine-readable name ("route_install", "fib_add", ...) used by
 // the JSON-lines export and matched by the analyzer. Never renumber or
@@ -65,6 +86,8 @@ struct JournalEvent {
     std::string subject;    // what it happened to (prefix, LSA, target)
     std::string detail;     // free-form qualifier (nexthop, reason, action)
     int64_t value = 0;      // numeric payload (metric, attempt, seqno)
+    uint64_t trace = 0;     // trace the record was made under; 0 = none
+    uint32_t hop = 0;       // that trace's hop count
 
     // One compact JSON object, no trailing newline.
     std::string to_json() const;
@@ -113,8 +136,10 @@ public:
     void set_capacity(size_t cap);
     size_t capacity() const;
 
-    // Append one event. No-op while disabled (hooks additionally guard
-    // with journal_enabled() so argument construction is skipped too).
+    // Append one event under the current trace context. A journal kind
+    // is a no-op while disabled, a trace kind outside a trace (hooks
+    // additionally guard with journal_enabled() / tracing_enabled() so
+    // argument construction is skipped too).
     void record(ev::TimePoint t, JournalKind kind, std::string_view node,
                 std::string_view component, std::string_view subject,
                 std::string_view detail = {}, int64_t value = 0);
@@ -141,6 +166,19 @@ private:
     uint64_t next_seq_ = 1;
     uint64_t dropped_ = 0;
 };
+
+// Records one per-route profiling point (kBgpIn, kBgpRibQueued,
+// kRibFeaQueued, kKernelIn) under the current trace. While trace roots
+// are off the whole call is one relaxed atomic load; outside a trace it
+// records nothing.
+template <class Net>
+inline void trace_route(ev::Clock& clock, JournalKind kind,
+                        std::string_view node, std::string_view component,
+                        bool is_add, const Net& net) {
+    if (!tracing_enabled() || !current_trace().valid()) return;
+    Journal::current().record(clock.now(), kind, node, component, net.str(),
+                              is_add ? "add" : "delete");
+}
 
 }  // namespace xrp::telemetry
 

@@ -4,7 +4,7 @@
 
 #include "ev/eventloop.hpp"
 #include "fea/fea.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/journal.hpp"
 
 using namespace xrp;
 using namespace xrp::fea;
@@ -188,25 +188,26 @@ TEST(Fea, UdpPortConflictRefused) {
 }
 
 TEST(Fea, ProfilerPointsFire) {
-    // "Entering kernel" (§8.2) is a tracer event stamped under the current
-    // trace; while tracing is off nothing is recorded.
+    // "Entering kernel" (§8.2) is a journal record stamped under the
+    // current trace; while trace roots are off nothing is recorded.
     ev::VirtualClock clock;
     ev::EventLoop loop(clock);
     Fea fea(loop);
-    telemetry::Tracer& tracer = telemetry::Tracer::global();
-    tracer.clear();
-    telemetry::Tracer::Scope scope(tracer.begin_trace());
+    telemetry::Journal& journal = telemetry::Journal::global();
+    journal.clear();
+    telemetry::TraceScope scope(telemetry::begin_trace());
     fea.add_route(IPv4Net::must_parse("10.0.0.0/8"),
                   IPv4::must_parse("192.0.2.1"));
-    EXPECT_EQ(tracer.event_count(), 0u);
+    EXPECT_EQ(journal.event_count(), 0u);
 
-    tracer.set_enabled(true);
+    telemetry::set_tracing_enabled(true);
     fea.add_route(IPv4Net::must_parse("10.1.0.0/16"),
                   IPv4::must_parse("192.0.2.1"));
-    tracer.set_enabled(false);
-    const auto events = tracer.events();
-    tracer.clear();
+    telemetry::set_tracing_enabled(false);
+    const auto events = journal.events();
+    journal.clear();
     ASSERT_EQ(events.size(), 1u);
-    EXPECT_EQ(events[0].point, "kernel_in");
-    EXPECT_EQ(events[0].detail, "add 10.1.0.0/16");
+    EXPECT_EQ(events[0].kind, telemetry::JournalKind::kKernelIn);
+    EXPECT_EQ(events[0].subject, "10.1.0.0/16");
+    EXPECT_EQ(events[0].detail, "add");
 }

@@ -8,7 +8,7 @@
 
 #include "ev/eventloop.hpp"
 #include "rib/rib.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/journal.hpp"
 
 using namespace xrp;
 using namespace xrp::rib;
@@ -214,27 +214,29 @@ TEST(Rib, RegisterInterestNoRoute) {
 }
 
 TEST(Rib, ProfilerPointsFire) {
-    // "Queued for transmission to the FEA" (§8.2) is a tracer event
-    // stamped under the current trace; while tracing is off nothing is
-    // recorded.
+    // "Queued for transmission to the FEA" (§8.2) is a journal record
+    // stamped under the current trace; while trace roots are off nothing
+    // is recorded.
     RibFixture f;
-    telemetry::Tracer& tracer = telemetry::Tracer::global();
-    tracer.clear();
-    telemetry::Tracer::Scope scope(tracer.begin_trace());
+    telemetry::Journal& journal = telemetry::Journal::global();
+    journal.clear();
+    telemetry::TraceScope scope(telemetry::begin_trace());
     f.rib.add_route("static", IPv4Net::must_parse("10.0.0.0/8"),
                     IPv4::must_parse("192.0.2.9"));
-    EXPECT_EQ(tracer.event_count(), 0u);
+    EXPECT_EQ(journal.event_count(), 0u);
 
-    tracer.set_enabled(true);
+    telemetry::set_tracing_enabled(true);
     f.rib.add_route("static", IPv4Net::must_parse("10.1.0.0/16"),
                     IPv4::must_parse("192.0.2.9"));
-    tracer.set_enabled(false);
-    std::vector<telemetry::TraceEvent> queued;
-    for (const auto& e : tracer.events())
-        if (e.point == "rib_fea_queued") queued.push_back(e);
-    tracer.clear();
+    telemetry::set_tracing_enabled(false);
+    std::vector<telemetry::JournalEvent> queued;
+    for (const auto& e : journal.events())
+        if (e.kind == telemetry::JournalKind::kRibFeaQueued)
+            queued.push_back(e);
+    journal.clear();
     ASSERT_EQ(queued.size(), 1u);
-    EXPECT_EQ(queued[0].detail, "add 10.1.0.0/16");
+    EXPECT_EQ(queued[0].subject, "10.1.0.0/16");
+    EXPECT_EQ(queued[0].detail, "add");
 }
 
 TEST(Rib, RedistStagesAreDynamicAndIndependent) {

@@ -21,25 +21,39 @@
 
 using namespace xrp;
 using namespace std::chrono_literals;
+using telemetry::Journal;
+using telemetry::JournalEvent;
+using telemetry::JournalKind;
 using telemetry::Registry;
 using telemetry::TraceContext;
-using telemetry::TraceEvent;
-using telemetry::Tracer;
+using telemetry::TraceScope;
 using xrl::Xrl;
 using xrl::XrlArgs;
 using xrl::XrlError;
 
 namespace {
 
-// Tracing tests share the process-global Tracer; scope its enablement.
+// Tracing tests share the process-global journal and the trace root
+// switch; scope the switch and start from an empty ring.
 class TracingOn {
 public:
     TracingOn() {
-        Tracer::global().clear();
-        Tracer::global().set_enabled(true);
+        Journal::global().clear();
+        telemetry::set_tracing_enabled(true);
     }
-    ~TracingOn() { Tracer::global().set_enabled(false); }
+    ~TracingOn() { telemetry::set_tracing_enabled(false); }
 };
+
+// The recorded events of one trace, in append order.
+std::vector<JournalEvent> trace_events(uint64_t trace_id) {
+    std::vector<JournalEvent> out;
+    for (JournalEvent& e : Journal::global().events())
+        if (e.trace == trace_id) out.push_back(std::move(e));
+    return out;
+}
+
+// The whole ring, for failure messages.
+std::string dump() { return Journal::global().to_jsonl(); }
 
 // A two-tier service: "front" forwards every go() to "leaf" on "back",
 // so one client call produces a nested send — the shape that exercises
@@ -94,33 +108,79 @@ void run_chain(ipc::Plexus& plexus, ipc::XrlRouter& client,
     plexus.loop.run_for(200ms);
 }
 
-// Asserts the tracer holds exactly one trace linking go() and leaf()
+// Asserts the journal holds exactly one trace linking go() and leaf()
 // dispatches over `family`, with the hop count deepening downstream.
 void expect_chain_trace(const std::string& family) {
     uint64_t id = 0;
-    for (const TraceEvent& e : Tracer::global().events())
-        if (e.point == "dispatch" &&
-            e.detail.find("chain/1.0/leaf") != std::string::npos) {
-            id = e.trace_id;
+    for (const JournalEvent& e : Journal::global().events())
+        if (e.kind == JournalKind::kDispatch &&
+            e.subject.find("chain/1.0/leaf") != std::string::npos) {
+            id = e.trace;
             break;
         }
-    ASSERT_NE(id, 0u) << "no leaf dispatch recorded:\n"
-                      << Tracer::global().format();
+    ASSERT_NE(id, 0u) << "no leaf dispatch recorded:\n" << dump();
 
     int go_hop = -1;
     int leaf_hop = -1;
-    for (const TraceEvent& e : Tracer::global().events_for(id)) {
-        EXPECT_EQ(e.detail.substr(0, family.size() + 1), family + " ");
-        if (e.point != "dispatch") continue;
-        if (e.detail.find("chain/1.0/go") != std::string::npos)
+    for (const JournalEvent& e : trace_events(id)) {
+        EXPECT_EQ(e.detail, family);
+        if (e.kind != JournalKind::kDispatch) continue;
+        if (e.subject.find("chain/1.0/go") != std::string::npos)
             go_hop = static_cast<int>(e.hop);
-        if (e.detail.find("chain/1.0/leaf") != std::string::npos)
+        if (e.subject.find("chain/1.0/leaf") != std::string::npos)
             leaf_hop = static_cast<int>(e.hop);
     }
-    ASSERT_GE(go_hop, 0) << Tracer::global().format();
-    ASSERT_GE(leaf_hop, 0) << Tracer::global().format();
+    ASSERT_GE(go_hop, 0) << dump();
+    ASSERT_GE(leaf_hop, 0) << dump();
     EXPECT_LT(go_hop, leaf_hop);
 }
+
+// r1 and r2 with one BGP session between them, established untraced. A
+// route r1 originates arrives at r2's BGP, which sends it to r2's RIB over
+// XRLs, which forwards it to r2's FEA over XRLs.
+struct BgpPair {
+    ev::VirtualClock clock;
+    ev::EventLoop loop{clock};
+    rtrmgr::Router r1{"r1", loop};
+    rtrmgr::Router r2{"r2", loop};
+    bool configured = false;
+
+    BgpPair() {
+        std::string err;
+        configured = r1.configure(R"(
+            interfaces { eth0 { address 192.0.2.1/24; } }
+            protocols {
+                bgp { local-as 1777; bgp-id 192.0.2.1; }
+            }
+        )",
+                                  &err) &&
+                     r2.configure(R"(
+            interfaces { eth0 { address 192.0.2.2/24; } }
+            protocols {
+                static { route 192.0.2.0/24 { nexthop 192.0.2.2; } }
+                bgp { local-as 3561; bgp-id 192.0.2.2; }
+            }
+        )",
+                                  &err);
+        EXPECT_TRUE(configured) << err;
+        if (!configured) return;
+        rtrmgr::Router::connect_bgp(r1, r2);
+        loop.run_for(5s);
+    }
+
+    // Originates 10.99.0.0/16 at r1; true once r2's FEA forwards it.
+    bool propagate() {
+        if (r1.bgp() == nullptr) return false;
+        r1.bgp()->originate(net::IPv4Net::must_parse("10.99.0.0/16"),
+                            net::IPv4::must_parse("192.0.2.1"));
+        return loop.run_until(
+            [&] {
+                return r2.fea().lookup(net::IPv4::must_parse("10.99.1.2")) !=
+                       nullptr;
+            },
+            60s);
+    }
+};
 
 }  // namespace
 
@@ -335,10 +395,10 @@ TEST(Trace, QueuedOnewayCallKeepsCallersTrace) {
     client.finalize();
     client.set_preferred_family("stcp");
 
-    const TraceContext callers[] = {Tracer::global().begin_trace(),
-                                    Tracer::global().begin_trace()};
+    const TraceContext callers[] = {telemetry::begin_trace(),
+                                    telemetry::begin_trace()};
     for (const TraceContext& ctx : callers) {
-        Tracer::Scope scope(ctx);
+        TraceScope scope(ctx);
         client.call_oneway(
             Xrl::generic("svc", "noop", "1.0", "noop", XrlArgs()));
     }
@@ -346,12 +406,12 @@ TEST(Trace, QueuedOnewayCallKeepsCallersTrace) {
     for (const TraceContext& ctx : callers) {
         int sends = 0;
         int dispatches = 0;
-        for (const TraceEvent& e : Tracer::global().events_for(ctx.trace_id)) {
-            sends += e.point == "send";
-            dispatches += e.point == "dispatch";
+        for (const JournalEvent& e : trace_events(ctx.trace_id)) {
+            sends += e.kind == JournalKind::kSend;
+            dispatches += e.kind == JournalKind::kDispatch;
         }
-        EXPECT_EQ(sends, 1) << Tracer::global().format();
-        EXPECT_EQ(dispatches, 1) << Tracer::global().format();
+        EXPECT_EQ(sends, 1) << dump();
+        EXPECT_EQ(dispatches, 1) << dump();
     }
 }
 
@@ -373,15 +433,15 @@ TEST(Trace, ResponseCallbackRunsUnderTheCallersTrace) {
     client.finalize();
     client.set_preferred_family("stcp");
 
-    const TraceContext caller = Tracer::global().begin_trace();
+    const TraceContext caller = telemetry::begin_trace();
     std::optional<TraceContext> seen;
     {
-        Tracer::Scope scope(caller);
+        TraceScope scope(caller);
         client.call(Xrl::generic("svc", "noop", "1.0", "noop", XrlArgs()),
                     ipc::CallOptions::reliable(),
                     [&](const XrlError& err, const XrlArgs&) {
                         EXPECT_TRUE(err.ok()) << err.str();
-                        seen = Tracer::current();
+                        seen = telemetry::current_trace();
                     });
     }
     ASSERT_TRUE(plexus.loop.run_until([&] { return seen.has_value(); }, 5s));
@@ -390,28 +450,15 @@ TEST(Trace, ResponseCallbackRunsUnderTheCallersTrace) {
 }
 
 TEST(Trace, DisabledTracingRecordsNothing) {
-    Tracer::global().clear();
-    ASSERT_FALSE(Tracer::global().enabled());
+    Journal::global().clear();
+    ASSERT_FALSE(telemetry::tracing_enabled());
     ev::RealClock clock;
     ipc::Plexus plexus(clock);
     ChainServers servers(plexus);
     ipc::XrlRouter client(plexus, "cli");
     client.finalize();
     run_chain(plexus, client, servers, "inproc");
-    EXPECT_EQ(Tracer::global().event_count(), 0u);
-}
-
-TEST(Trace, RingDropsOldestBeyondCapacity) {
-    Tracer t;
-    t.set_enabled(true);
-    t.set_capacity(4);
-    for (uint64_t i = 1; i <= 6; ++i)
-        t.record({i, 0}, ev::TimePoint{}, "send", "m");
-    EXPECT_EQ(t.event_count(), 4u);
-    EXPECT_EQ(t.dropped(), 2u);
-    auto evs = t.events();
-    EXPECT_EQ(evs.front().trace_id, 3u);  // 1 and 2 were dropped
-    EXPECT_EQ(evs.back().trace_id, 6u);
+    EXPECT_EQ(Journal::global().event_count(), 0u);
 }
 
 // ---- the telemetry/1.0 face --------------------------------------------
@@ -452,7 +499,7 @@ TEST(TelemetryXrl, SnapshotReachableOnAnyFinalizedTarget) {
     EXPECT_NE(snapshot.find("xrl_sends_total{family=\"inproc\"}"),
               std::string::npos);
 
-    // trace_enable flips the global tracer and reports the new state.
+    // trace_enable flips the trace root switch and reports the new state.
     done = false;
     XrlArgs on;
     on.add("on", true);
@@ -463,9 +510,9 @@ TEST(TelemetryXrl, SnapshotReachableOnAnyFinalizedTarget) {
                     done = true;
                 });
     plexus.loop.run_until([&] { return done; }, 2s);
-    EXPECT_TRUE(Tracer::global().enabled());
-    Tracer::global().set_enabled(false);
-    Tracer::global().clear();
+    EXPECT_TRUE(telemetry::tracing_enabled());
+    telemetry::set_tracing_enabled(false);
+    Journal::global().clear();
 }
 
 // ---- the Figures 10-12 chain as one trace ------------------------------
@@ -474,92 +521,131 @@ TEST(Trace, BgpRibFeaChainIsOneCausalTrace) {
     // Two routers, a BGP session between them: a route originated at r1
     // arrives at r2's BGP, which sends it to r2's RIB over XRLs, which
     // forwards it to r2's FEA over XRLs — the full Figures 10-12 path.
-    ev::VirtualClock clock;
-    ev::EventLoop loop(clock);
-    rtrmgr::Router r1("r1", loop), r2("r2", loop);
-    std::string err;
-    ASSERT_TRUE(r1.configure(R"(
-        interfaces { eth0 { address 192.0.2.1/24; } }
-        protocols {
-            bgp { local-as 1777; bgp-id 192.0.2.1; }
-        }
-    )",
-                             &err))
-        << err;
-    ASSERT_TRUE(r2.configure(R"(
-        interfaces { eth0 { address 192.0.2.2/24; } }
-        protocols {
-            static { route 192.0.2.0/24 { nexthop 192.0.2.2; } }
-            bgp { local-as 3561; bgp-id 192.0.2.2; }
-        }
-    )",
-                             &err))
-        << err;
-    rtrmgr::Router::connect_bgp(r1, r2);
-    loop.run_for(5s);  // establish the session; all of it untraced
-
+    BgpPair pair;
+    ASSERT_TRUE(pair.configured);
     TracingOn tracing;
-    ASSERT_NE(r1.bgp(), nullptr);
-    r1.bgp()->originate(net::IPv4Net::must_parse("10.99.0.0/16"),
-                        net::IPv4::must_parse("192.0.2.1"));
-
     // The route must appear in r2's FEA (travelled BGP -> RIB -> FEA over
     // XRLs)...
-    ASSERT_TRUE(loop.run_until(
-        [&] {
-            return r2.fea().lookup(net::IPv4::must_parse("10.99.1.2")) !=
-                   nullptr;
-        },
-        60s));
+    ASSERT_TRUE(pair.propagate());
 
-    // ...and the tracer must hold ONE trace linking the RIB and FEA
+    // ...and the journal must hold ONE trace linking the RIB and FEA
     // dispatches, hops deepening along the chain. (r1 records a separate
     // trace for its own local-origin attempt; only r2's goes to a FEA.)
     bool found_chain = false;
     std::map<uint64_t, std::pair<int, int>> hops;  // id -> {rib, fea}
-    for (const TraceEvent& ev : Tracer::global().events()) {
-        if (ev.point != "dispatch") continue;
-        auto& [rib_hop, fea_hop] = hops.try_emplace(ev.trace_id, -1, -1)
+    for (const JournalEvent& ev : Journal::global().events()) {
+        if (ev.kind != JournalKind::kDispatch) continue;
+        auto& [rib_hop, fea_hop] = hops.try_emplace(ev.trace, -1, -1)
                                        .first->second;
-        if (ev.detail.find("rib/1.0/add_route") != std::string::npos)
+        if (ev.subject.find("rib/1.0/add_route") != std::string::npos)
             rib_hop = static_cast<int>(ev.hop);
-        if (ev.detail.find("fea/1.0/add_route4") != std::string::npos)
+        if (ev.subject.find("fea/1.0/add_route4") != std::string::npos)
             fea_hop = static_cast<int>(ev.hop);
     }
     for (const auto& [id, h] : hops)
         if (h.first >= 0 && h.second > h.first) found_chain = true;
     EXPECT_TRUE(found_chain) << "rib and fea dispatches not causally "
                                 "linked in any one trace:\n"
-                             << Tracer::global().format();
+                             << dump();
 
     // All eight Figures 10-12 profiling points are in the one trace that
     // r2's BGP opened for the UPDATE, in path order.
-    const std::string payload = "add 10.99.0.0/16";
+    const std::string prefix = "10.99.0.0/16";
     uint64_t id = 0;
-    for (const TraceEvent& ev : Tracer::global().events())
-        if (ev.point == "bgp_in" && ev.detail == payload) id = ev.trace_id;
-    ASSERT_NE(id, 0u) << Tracer::global().format();
-    const std::pair<const char*, const char*> points[] = {
-        {"bgp_in", payload.c_str()},
-        {"bgp_rib_queued", payload.c_str()},
-        {"send", "rib/1.0/add_route"},
-        {"dispatch", "rib/1.0/add_route"},
-        {"rib_fea_queued", payload.c_str()},
-        {"send", "fea/1.0/add_route4"},
-        {"dispatch", "fea/1.0/add_route4"},
-        {"kernel_in", payload.c_str()},
+    for (const JournalEvent& ev : Journal::global().events())
+        if (ev.kind == JournalKind::kBgpIn && ev.subject == prefix &&
+            ev.detail == "add")
+            id = ev.trace;
+    ASSERT_NE(id, 0u) << dump();
+    struct Point {
+        JournalKind kind;
+        const char* subject;  // a substring of the event's subject
+        const char* detail;   // nullptr: any
     };
-    const std::vector<TraceEvent> trace = Tracer::global().events_for(id);
+    const Point points[] = {
+        {JournalKind::kBgpIn, prefix.c_str(), "add"},
+        {JournalKind::kBgpRibQueued, prefix.c_str(), "add"},
+        {JournalKind::kSend, "rib/1.0/add_route", nullptr},
+        {JournalKind::kDispatch, "rib/1.0/add_route", nullptr},
+        {JournalKind::kRibFeaQueued, prefix.c_str(), "add"},
+        {JournalKind::kSend, "fea/1.0/add_route4", nullptr},
+        {JournalKind::kDispatch, "fea/1.0/add_route4", nullptr},
+        {JournalKind::kKernelIn, prefix.c_str(), "add"},
+    };
+    const std::vector<JournalEvent> trace = trace_events(id);
     ev::TimePoint prev{};
-    for (const auto& [point, detail] : points) {
+    for (const auto& [kind, subject, detail] : points) {
+        const char* name = telemetry::journal_kind_name(kind);
         auto it = std::find_if(trace.begin(), trace.end(), [&](const auto& e) {
-            return e.point == point &&
-                   e.detail.find(detail) != std::string::npos;
+            return e.kind == kind &&
+                   e.subject.find(subject) != std::string::npos &&
+                   (detail == nullptr || e.detail == detail);
         });
-        ASSERT_NE(it, trace.end()) << point << " " << detail << " missing:\n"
-                                   << Tracer::global().format();
-        EXPECT_GE(it->t, prev) << point << " " << detail;
+        ASSERT_NE(it, trace.end()) << name << " " << subject << " missing:\n"
+                                   << dump();
+        EXPECT_GE(it->t, prev) << name << " " << subject;
         prev = it->t;
+    }
+}
+
+TEST(Trace, RouteEventsShareOneRecord) {
+    // One record type in one ring: with the journal and trace roots both
+    // on, the journal records a traced route causes (route_install in the
+    // RIB, fib_add in the FEA) carry the trace id of its bgp_in and
+    // kernel_in points, and one journal_dump_json returns them all.
+    BgpPair pair;
+    ASSERT_TRUE(pair.configured);
+    Journal::global().clear();
+    Journal::global().set_enabled(true);
+    {
+        TracingOn tracing;
+        ASSERT_TRUE(pair.propagate());
+    }
+
+    ipc::XrlRouter cli(pair.r2.plexus(), "cli");
+    ASSERT_TRUE(cli.finalize());
+    std::string text;
+    bool done = false;
+    cli.send(Xrl::generic("fea", "telemetry", "1.0", "journal_dump_json",
+                          XrlArgs()),
+             [&](const XrlError& err, const XrlArgs& out) {
+                 EXPECT_TRUE(err.ok()) << err.str();
+                 text = out.get_text("text").value_or("");
+                 done = true;
+             });
+    ASSERT_TRUE(pair.loop.run_until([&] { return done; }, 5s));
+    Journal::global().set_enabled(false);
+    Journal::global().clear();
+
+    // Every event of the route on r2, keyed by kind, from the one dump.
+    const std::string prefix = "10.99.0.0/16";
+    std::map<std::string, std::vector<uint64_t>> traces;  // kind -> ids
+    int64_t prev_seq = 0;
+    std::istringstream in(text);
+    std::string line;
+    while (std::getline(in, line)) {
+        auto v = json::Value::parse(line);
+        ASSERT_TRUE(v.has_value()) << line;
+        const auto seq = static_cast<int64_t>(v->get_number("seq").value_or(0));
+        EXPECT_GT(seq, prev_seq) << line;
+        prev_seq = seq;
+        if (v->get_string("subject").value_or("") != prefix) continue;
+        const std::string kind = v->get_string("kind").value_or("");
+        const std::string node = v->get_string("node").value_or("");
+        if ((kind == "route_install" || kind == "fib_add") && node != "r2")
+            continue;
+        if (kind == "bgp_in" || kind == "kernel_in") {
+            if (v->get_string("detail").value_or("") != "add") continue;
+        }
+        traces[kind].push_back(
+            static_cast<uint64_t>(v->get_number("trace").value_or(0)));
+    }
+    ASSERT_EQ(traces["bgp_in"].size(), 1u) << text;
+    const uint64_t id = traces["bgp_in"][0];
+    ASSERT_NE(id, 0u) << text;
+    for (const char* kind : {"route_install", "fib_add", "kernel_in"}) {
+        ASSERT_FALSE(traces[kind].empty()) << kind << " missing:\n" << text;
+        for (uint64_t t : traces[kind]) EXPECT_EQ(t, id) << kind;
     }
 }
 
@@ -567,43 +653,13 @@ TEST(Trace, BgpRibFeaChainIsOneCausalTrace) {
 
 TEST(Trace, JsonlDumpReconstructsRouteAddTimeline) {
     // The paper's Figures 10-12 route-add journey, asserted from the
-    // machine-readable dump instead of the text formatter: the JSON-lines
-    // export must contain one trace whose dispatch events visit the RIB
+    // machine-readable dump: the JSON-lines export must contain one trace whose dispatch events visit the RIB
     // and then the FEA at deepening hops with non-decreasing timestamps —
     // exactly what the scenario harness consumes offline.
-    ev::VirtualClock clock;
-    ev::EventLoop loop(clock);
-    rtrmgr::Router r1("r1", loop), r2("r2", loop);
-    std::string err;
-    ASSERT_TRUE(r1.configure(R"(
-        interfaces { eth0 { address 192.0.2.1/24; } }
-        protocols {
-            bgp { local-as 1777; bgp-id 192.0.2.1; }
-        }
-    )",
-                             &err))
-        << err;
-    ASSERT_TRUE(r2.configure(R"(
-        interfaces { eth0 { address 192.0.2.2/24; } }
-        protocols {
-            static { route 192.0.2.0/24 { nexthop 192.0.2.2; } }
-            bgp { local-as 3561; bgp-id 192.0.2.2; }
-        }
-    )",
-                             &err))
-        << err;
-    rtrmgr::Router::connect_bgp(r1, r2);
-    loop.run_for(5s);
-
+    BgpPair pair;
+    ASSERT_TRUE(pair.configured);
     TracingOn tracing;
-    r1.bgp()->originate(net::IPv4Net::must_parse("10.99.0.0/16"),
-                        net::IPv4::must_parse("192.0.2.1"));
-    ASSERT_TRUE(loop.run_until(
-        [&] {
-            return r2.fea().lookup(net::IPv4::must_parse("10.99.1.2")) !=
-                   nullptr;
-        },
-        60s));
+    ASSERT_TRUE(pair.propagate());
 
     // Per trace id: (hop, t_ns) of the RIB and FEA dispatches.
     struct Legs {
@@ -611,36 +667,35 @@ TEST(Trace, JsonlDumpReconstructsRouteAddTimeline) {
         int64_t rib_t = 0, fea_t = 0;
     };
     std::map<uint64_t, Legs> traces;
-    std::istringstream in(Tracer::global().format_jsonl());
+    std::istringstream in(Journal::global().to_jsonl());
     std::string line;
     size_t lines = 0;
     while (std::getline(in, line)) {
         auto v = json::Value::parse(line);
         ASSERT_TRUE(v.has_value()) << line;
         ++lines;
-        if (v->get_string("point").value_or("") != "dispatch") continue;
+        if (v->get_string("kind").value_or("") != "dispatch") continue;
         auto id = static_cast<uint64_t>(v->get_number("trace").value_or(0));
         auto hop = static_cast<int64_t>(v->get_number("hop").value_or(-1));
         auto t = static_cast<int64_t>(v->get_number("t_ns").value_or(0));
-        const std::string detail = v->get_string("detail").value_or("");
+        const std::string subject = v->get_string("subject").value_or("");
         Legs& legs = traces[id];
-        if (detail.find("rib/1.0/add_route") != std::string::npos) {
+        if (subject.find("rib/1.0/add_route") != std::string::npos) {
             legs.rib_hop = hop;
             legs.rib_t = t;
         }
-        if (detail.find("fea/1.0/add_route4") != std::string::npos) {
+        if (subject.find("fea/1.0/add_route4") != std::string::npos) {
             legs.fea_hop = hop;
             legs.fea_t = t;
         }
     }
-    EXPECT_EQ(lines, Tracer::global().event_count());
+    EXPECT_EQ(lines, Journal::global().event_count());
     bool found = false;
     for (const auto& [id, legs] : traces)
         if (legs.rib_hop >= 0 && legs.fea_hop > legs.rib_hop &&
             legs.fea_t >= legs.rib_t)
             found = true;
-    EXPECT_TRUE(found) << "no trace with rib -> fea timeline:\n"
-                       << Tracer::global().format_jsonl();
+    EXPECT_TRUE(found) << "no trace with rib -> fea timeline:\n" << dump();
 }
 
 TEST(TelemetryXrl, TraceAndJournalJsonDumpsOverXrl) {
@@ -668,8 +723,8 @@ TEST(TelemetryXrl, TraceAndJournalJsonDumpsOverXrl) {
     };
 
     // Trace one traced call, then fetch the JSONL dump over XRL.
-    Tracer::global().clear();
-    Tracer::global().set_enabled(true);
+    Journal::global().clear();
+    telemetry::set_tracing_enabled(true);
     bool done = false;
     client.send(Xrl::generic("svc", "noop", "1.0", "noop", XrlArgs()),
                 [&](const XrlError& err, const XrlArgs&) {
@@ -677,9 +732,9 @@ TEST(TelemetryXrl, TraceAndJournalJsonDumpsOverXrl) {
                     done = true;
                 });
     plexus.loop.run_until([&] { return done; }, 2s);
-    Tracer::global().set_enabled(false);
+    telemetry::set_tracing_enabled(false);
 
-    XrlArgs dump = rpc("trace_dump_json", XrlArgs());
+    XrlArgs dump = rpc("journal_dump_json", XrlArgs());
     std::string text = dump.get_text("text").value_or("");
     ASSERT_FALSE(text.empty());
     std::istringstream in(text);
@@ -690,12 +745,12 @@ TEST(TelemetryXrl, TraceAndJournalJsonDumpsOverXrl) {
         ASSERT_TRUE(v.has_value()) << line;
         EXPECT_NE(v->find("trace"), nullptr);
         EXPECT_NE(v->find("hop"), nullptr);
-        EXPECT_NE(v->find("point"), nullptr);
+        EXPECT_NE(v->find("kind"), nullptr);
         ++n;
     }
     EXPECT_EQ(n, static_cast<size_t>(
                      dump.get_u32("count").value_or(0)));
-    Tracer::global().clear();
+    rpc("journal_clear", XrlArgs());
 
     // Journal: enable over XRL, record, dump over XRL, clear over XRL.
     XrlArgs on;

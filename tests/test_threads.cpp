@@ -1,5 +1,6 @@
 // Threading-model tests: the EventLoop cross-thread seam (post/wake/
-// ownership), ComponentThread lifecycle, multi-producer journal safety,
+// ownership), ComponentThread lifecycle, multi-producer journal safety
+// (journal records and traced xring calls sharing one ring),
 // InternTable single-owner affinity, and rtrmgr::Router in both
 // placements — one loop, or FEA, RIB and BGP on their own threads joined
 // by xring and supervised across the thread boundary.
@@ -7,9 +8,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <set>
 #include <thread>
 
+#include "ipc/router.hpp"
 #include "net/intern.hpp"
 #include "rtrmgr/component_thread.hpp"
 #include "rtrmgr/rtrmgr.hpp"
@@ -183,6 +186,96 @@ TEST(JournalThreads, ThreadLocalOverrideIsolatesCells) {
     EXPECT_EQ(a.event_count(), 101u);
 
     telemetry::Journal::global().set_enabled(was_enabled);
+}
+
+TEST(JournalThreads, TracedXringCallAndJournalShareOneRing) {
+    // Trace events and journal records from three threads land in one
+    // ring: a client on one ComponentThread makes traced calls over xring
+    // to a server on another, while a third thread journals FIB writes.
+    // Every dispatch carries its caller's trace one hop deeper, and seq
+    // numbers stay strictly increasing in snapshot order.
+    telemetry::Journal& j = telemetry::Journal::global();
+    j.clear();
+    j.set_enabled(true);
+    telemetry::set_tracing_enabled(true);
+
+    ev::RealClock clock;
+    ipc::Plexus plexus(clock);
+    ComponentThread server_thread(clock);
+    ipc::XrlRouter server(plexus, server_thread.loop(), "svc", true);
+    server.add_handler("noop/1.0/noop", [](const xrl::XrlArgs&,
+                                           xrl::XrlArgs&) {
+        return xrl::XrlError::okay();
+    });
+    ASSERT_TRUE(server.finalize());
+    ComponentThread client_thread(clock);
+    ipc::XrlRouter client(plexus, client_thread.loop(), "cli");
+    ASSERT_TRUE(client.finalize());
+    server_thread.start();
+    client_thread.start();
+
+    constexpr int kCalls = 200;
+    std::atomic<int> completed{0};
+    std::atomic<int> errors{0};
+    std::atomic<bool> stop{false};
+    std::thread journaler([&] {
+        for (int i = 0; i < 20000 && !stop.load(); ++i) {
+            j.record(ev::TimePoint{}, telemetry::JournalKind::kFibAdd, "r0",
+                     "fea", "10.0.0." + std::to_string(i % 256));
+            std::this_thread::yield();
+        }
+    });
+    client_thread.post([&] {
+        for (int i = 0; i < kCalls; ++i)
+            client.send(
+                xrl::Xrl::generic("svc", "noop", "1.0", "noop", {}),
+                [&](const xrl::XrlError& e, const xrl::XrlArgs&) {
+                    if (!e.ok()) errors.fetch_add(1);
+                    completed.fetch_add(1);
+                });
+    });
+    const auto deadline = std::chrono::steady_clock::now() + 30s;
+    while (completed.load() < kCalls &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(1ms);
+    stop.store(true);
+    journaler.join();
+    client_thread.stop_and_join();
+    server_thread.stop_and_join();
+    telemetry::set_tracing_enabled(false);
+    j.set_enabled(false);
+    const auto events = j.events();
+    j.clear();
+    ASSERT_EQ(completed.load(), kCalls);
+    EXPECT_EQ(errors.load(), 0);
+    EXPECT_EQ(j.dropped(), 0u);
+
+    std::map<uint64_t, uint32_t> send_hop;  // trace id -> caller's hop
+    uint64_t prev = 0;
+    for (const auto& e : events) {
+        EXPECT_GT(e.seq, prev);
+        prev = e.seq;
+        if (e.kind == telemetry::JournalKind::kSend) {
+            EXPECT_TRUE(send_hop.emplace(e.trace, e.hop).second);
+        }
+    }
+    EXPECT_EQ(send_hop.size(), static_cast<size_t>(kCalls));
+    int dispatches = 0;
+    int fib_adds = 0;
+    for (const auto& e : events) {
+        if (e.kind == telemetry::JournalKind::kFibAdd) {
+            ++fib_adds;
+            EXPECT_EQ(e.trace, 0u);
+        }
+        if (e.kind != telemetry::JournalKind::kDispatch) continue;
+        ++dispatches;
+        EXPECT_EQ(e.detail, "xring");
+        auto it = send_hop.find(e.trace);
+        ASSERT_NE(it, send_hop.end()) << e.to_json();
+        EXPECT_EQ(e.hop, it->second + 1);
+    }
+    EXPECT_EQ(dispatches, kCalls);
+    EXPECT_GT(fib_adds, 0);
 }
 
 namespace {
