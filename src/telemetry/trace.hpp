@@ -18,12 +18,10 @@
 // so nested sends inherit the id and deepen the hop count. Event loops are
 // single-threaded, so thread_local is exactly "this component's stack".
 //
-// The root switch here and the journal's enabled flag stay two switches
-// because they gate different records, and the two callers that turn
-// them on need them apart: the scenario runner journals with trace roots
-// off (per-XRL send/dispatch events would crowd its ring), and the
-// Figs 10–12 bench traces with the journal off (journal records would
-// fall inside the intervals it measures). While roots are off (the
+// Trace roots (below) and the journal's enabled flag stay two switches
+// because their callers need each without the other: the scenario
+// runner journals with roots off, and the Figs 10–12 bench traces with
+// the journal off (journal.hpp says why). While roots are off (the
 // default), the only cost at every send site is one relaxed atomic load
 // (tracing_enabled()).
 #ifndef XRP_TELEMETRY_TRACE_HPP

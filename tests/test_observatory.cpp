@@ -1,10 +1,12 @@
 // Observatory tests: the structured event journal (ordering, bounded
-// ring, JSON-lines export) and the convergence analyzer checked against
-// hand-built oracle timelines where every window edge is known exactly,
-// plus a golden schema test pinning the BENCH_scenarios.json envelope.
+// ring, JSON-lines export pinned byte-for-byte per kind) and the
+// convergence analyzer checked against hand-built oracle timelines where
+// every window edge is known exactly, plus a golden schema test pinning
+// the BENCH_scenarios.json envelope.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <string>
@@ -241,6 +243,48 @@ TEST(Journal, GoldenJsonLinePerKind) {
          R"({"seq":7,"t_ns":-13,"kind":"process_exit","node":"r0","component":"process","subject":"bgp","detail":"signal 9","value":-4242})"},
     };
     for (const auto& [got, want] : golden) EXPECT_EQ(got, want);
+
+    // The trace kinds, made under a trace: "trace" and "hop" follow the
+    // journal's keys, and only a record with a trace id writes them.
+    auto traced = [&](JournalKind kind, const char* node,
+                      const char* subject, const char* detail,
+                      uint64_t trace, uint32_t hop) {
+        JournalEvent e;
+        e.seq = 9;
+        e.t = ev::TimePoint{} + std::chrono::nanoseconds(42);
+        e.kind = kind;
+        e.node = node;
+        e.component = "ipc";
+        e.subject = subject;
+        e.detail = detail;
+        e.trace = trace;
+        e.hop = hop;
+        return e.to_json();
+    };
+    const std::pair<std::string, std::string> traced_golden[] = {
+        {traced(JournalKind::kSend, "r1", "rib/rib/1.0/add_route", "stcp",
+                5, 0),
+         R"({"seq":9,"t_ns":42,"kind":"send","node":"r1","component":"ipc","subject":"rib/rib/1.0/add_route","detail":"stcp","trace":5,"hop":0})"},
+        {traced(JournalKind::kDispatch, "", "rib/1.0/add_route", "stcp", 5,
+                1),
+         R"({"seq":9,"t_ns":42,"kind":"dispatch","node":"","component":"ipc","subject":"rib/1.0/add_route","detail":"stcp","trace":5,"hop":1})"},
+        {traced(JournalKind::kBgpIn, "", "10.0.1.0/24", "add", UINT64_MAX,
+                0),
+         R"({"seq":9,"t_ns":42,"kind":"bgp_in","node":"","component":"ipc","subject":"10.0.1.0/24","detail":"add","trace":18446744073709551615,"hop":0})"},
+        {traced(JournalKind::kBgpRibQueued, "", "10.0.1.0/24", "delete", 6,
+                0),
+         R"({"seq":9,"t_ns":42,"kind":"bgp_rib_queued","node":"","component":"ipc","subject":"10.0.1.0/24","detail":"delete","trace":6,"hop":0})"},
+        {traced(JournalKind::kRibFeaQueued, "r2", "10.0.1.0/24", "add", 6,
+                1),
+         R"({"seq":9,"t_ns":42,"kind":"rib_fea_queued","node":"r2","component":"ipc","subject":"10.0.1.0/24","detail":"add","trace":6,"hop":1})"},
+        {traced(JournalKind::kKernelIn, "r2", "10.0.1.0/24", "add", 6, 2),
+         R"({"seq":9,"t_ns":42,"kind":"kernel_in","node":"r2","component":"ipc","subject":"10.0.1.0/24","detail":"add","trace":6,"hop":2})"},
+        // A journal kind made under a trace carries it the same way.
+        {traced(JournalKind::kFibAdd, "r2", "10.0.1.0/24", "10.1.0.2:eth0",
+                6, 2),
+         R"({"seq":9,"t_ns":42,"kind":"fib_add","node":"r2","component":"ipc","subject":"10.0.1.0/24","detail":"10.1.0.2:eth0","trace":6,"hop":2})"},
+    };
+    for (const auto& [got, want] : traced_golden) EXPECT_EQ(got, want);
 }
 
 // ---- analyzer vs hand-built timelines ----------------------------------

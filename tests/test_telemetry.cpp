@@ -632,11 +632,11 @@ TEST(Trace, RouteEventsShareOneRecord) {
         if (v->get_string("subject").value_or("") != prefix) continue;
         const std::string kind = v->get_string("kind").value_or("");
         const std::string node = v->get_string("node").value_or("");
+        const std::string detail = v->get_string("detail").value_or("");
         if ((kind == "route_install" || kind == "fib_add") && node != "r2")
             continue;
-        if (kind == "bgp_in" || kind == "kernel_in") {
-            if (v->get_string("detail").value_or("") != "add") continue;
-        }
+        if ((kind == "bgp_in" || kind == "kernel_in") && detail != "add")
+            continue;
         traces[kind].push_back(
             static_cast<uint64_t>(v->get_number("trace").value_or(0)));
     }
